@@ -703,10 +703,11 @@ let perf () =
 
 type par_row = {
   domains : int;
-  batched : bool;  (** served through {!Par.Serve.run_batch}? *)
+  batched : bool;  (** decided through {!Par.Pool.batched}? *)
   served : int;
   elapsed_s : float;
   throughput : float;  (** median over the protocol's repeats *)
+  imbalance : float;  (** largest shard over the mean shard size *)
 }
 
 let par_rows : par_row list ref = ref []
@@ -716,6 +717,7 @@ let parallel_json_file : string option ref = ref None
 let parscale () =
   section "Parallel scaling: shard-per-domain decision serving (car workload)";
   let db = Policy.Compile.compile_exn (V.Policy_map.baseline ()) in
+  let table = Policy.Table.compile ~strategy:Policy.Engine.Deny_overrides db in
   let reqs = car_workload () in
   let n = Array.length reqs in
   let total = if !quick_mode then 50_000 else 400_000 in
@@ -735,88 +737,64 @@ let parscale () =
     (Domain.recommended_domain_count ())
     (String.concat "/" (List.map string_of_int ladder))
     repeats;
-  Printf.printf "%-22s %12s %14s   %s\n" "configuration" "elapsed s" "req/s"
-    "per-shard";
-  let report name (s : Par.Serve.stats) =
-    Printf.printf "%-22s %12.4f %14.0f   %s\n" name s.elapsed_s s.throughput
-      (String.concat "+"
-         (Array.to_list (Array.map string_of_int s.per_shard)))
+  Printf.printf "%-22s %12s %14s %9s   %s\n" "configuration" "elapsed s"
+    "req/s" "imbalance" "per-shard";
+  (* the single-engine reference every rung must reproduce *)
+  let seq_outcomes =
+    Par.Pool.scalar (Policy.Engine.of_table ~cache:false table db) work
   in
-  (* warmup run + [repeats] timed runs; keep the run with the median
-     throughput so elapsed/throughput/per-shard stay one consistent
-     observation *)
-  let median_run run =
-    ignore (run ());
-    let rs = ref [] in
-    for _ = 1 to repeats do
-      rs := run () :: !rs
-    done;
-    let sorted =
-      List.sort
-        (fun (a : Par.Serve.stats) b -> compare a.throughput b.throughput)
-        !rs
-    in
-    List.nth sorted (List.length sorted / 2)
-  in
-  let seq = Par.Serve.run_sequential db work in
-  report "sequential" seq.Par.Serve.stats;
   let seq_decisions =
-    Array.map
-      (fun (o : Policy.Engine.outcome) -> o.Policy.Engine.decision)
-      seq.Par.Serve.outcomes
+    Array.map (fun (o : Policy.Engine.outcome) -> o.decision) seq_outcomes
   in
-  List.iter
-    (fun domains ->
-      let s =
-        median_run (fun () ->
-            let r = Par.Serve.run ~domains db work in
-            if r.Par.Serve.outcomes <> seq.Par.Serve.outcomes then
-              Printf.printf
-                "  WARNING: %d-domain outcomes diverge from the sequential \
-                 engine\n"
-                domains;
-            r.Par.Serve.stats)
-      in
-      report (Printf.sprintf "%d domain(s)" domains) s;
-      par_rows :=
-        !par_rows
-        @ [
-            {
-              domains;
-              batched = false;
-              served = s.served;
-              elapsed_s = s.elapsed_s;
-              throughput = s.throughput;
-            };
-          ])
-    ladder;
+  let rung ~batched job reference domains =
+    let run () =
+      let r = Par.Pool.run_sharded ~domains job table db work in
+      if r.results <> reference then
+        Printf.printf
+          "  WARNING: %d-domain%s decisions diverge from the sequential \
+           engine\n"
+          domains
+          (if batched then " batched" else "");
+      r
+    in
+    (* warmup run + [repeats] timed runs; keep the run with the median
+       throughput so elapsed/throughput/per-shard stay one consistent
+       observation *)
+    ignore (run ());
+    let rs = List.init repeats (fun _ -> run ()) in
+    let s =
+      List.nth
+        (List.sort
+           (fun (a : _ Par.Pool.sharded) b -> compare a.throughput b.throughput)
+           rs)
+        (repeats / 2)
+    in
+    let imbalance =
+      float_of_int (Array.fold_left max 0 s.per_shard)
+      *. float_of_int domains /. float_of_int total
+    in
+    Printf.printf "%-22s %12.4f %14.0f %9.2f   %s\n"
+      (Printf.sprintf "%d domain(s)%s" domains
+         (if batched then ", batched" else ""))
+      s.elapsed_s s.throughput imbalance
+      (String.concat "+" (Array.to_list (Array.map string_of_int s.per_shard)));
+    par_rows :=
+      !par_rows
+      @ [
+          {
+            domains;
+            batched;
+            served = total;
+            elapsed_s = s.elapsed_s;
+            throughput = s.throughput;
+            imbalance;
+          };
+        ]
+  in
+  List.iter (rung ~batched:false Par.Pool.scalar seq_outcomes) ladder;
   (* the same ladder through the batched path: whole sub-batches per
      shard, one decide_batch call each *)
-  List.iter
-    (fun domains ->
-      let s =
-        median_run (fun () ->
-            let r = Par.Serve.run_batch ~domains db work in
-            if r.Par.Serve.decisions <> seq_decisions then
-              Printf.printf
-                "  WARNING: %d-domain batched decisions diverge from the \
-                 sequential engine\n"
-                domains;
-            r.Par.Serve.stats)
-      in
-      report (Printf.sprintf "%d domain(s), batched" domains) s;
-      par_rows :=
-        !par_rows
-        @ [
-            {
-              domains;
-              batched = true;
-              served = s.served;
-              elapsed_s = s.elapsed_s;
-              throughput = s.throughput;
-            };
-          ])
-    ladder
+  List.iter (rung ~batched:true Par.Pool.batched seq_decisions) ladder
 
 (* top-rung over 1-domain throughput, separately for the scalar and the
    batched ladder — ratios survive a machine change, absolute req/s does
@@ -859,6 +837,7 @@ let par_report () =
                    ("served", Policy.Json.Int r.served);
                    ("elapsed_s", Policy.Json.Float r.elapsed_s);
                    ("throughput_per_s", Policy.Json.Float r.throughput);
+                   ("imbalance", Policy.Json.Float r.imbalance);
                  ])
              !par_rows) );
       ("scaling", scaling_json false);

@@ -370,18 +370,19 @@ let write_file path text =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc text)
 
-(* Shard-per-domain scaling on the same synthesised workload: one
-   Serve.run per requested domain count, timestamps strictly increasing so
+(* Shard-per-domain scaling on the same synthesised workload: one pooled
+   run per requested domain count, timestamps strictly increasing so
    rate-limited rules behave identically across runs. *)
 let bench_parallel ~strategy ~iters ~domains db workload =
   let n = Array.length workload in
   let work =
     Array.init iters (fun k -> (float_of_int k *. 1e-3, workload.(k mod n)))
   in
+  let table = Policy.Table.compile ~strategy db in
+  let module Pool = Secpol.Par.Pool in
   List.map
     (fun d ->
-      let r = Secpol.Par.Serve.run ~domains:d ~strategy db work in
-      (d, r.Secpol.Par.Serve.stats))
+      (d, Pool.run_sharded ~domains:d Pool.scalar table db work))
     domains
 
 let parallel_json ~name ~version ~iters runs scaling =
@@ -394,11 +395,11 @@ let parallel_json ~name ~version ~iters runs scaling =
       ( "runs",
         Policy.Json.List
           (List.map
-             (fun (d, (s : Secpol.Par.Serve.stats)) ->
+             (fun (d, (s : _ Secpol.Par.Pool.sharded)) ->
                Policy.Json.Obj
                  [
                    ("domains", Policy.Json.Int d);
-                   ("served", Policy.Json.Int s.served);
+                   ("served", Policy.Json.Int (Array.length s.results));
                    ("elapsed_s", Policy.Json.Float s.elapsed_s);
                    ("throughput_per_s", Policy.Json.Float s.throughput);
                    ( "per_shard",
@@ -603,10 +604,10 @@ let bench_cmd =
                       bench_parallel ~strategy ~iters ~domains db workload
                       |> List.sort (fun (a, _) (b, _) -> compare a b)
                     in
-                    let base_d, (base : Secpol.Par.Serve.stats) =
+                    let base_d, (base : _ Secpol.Par.Pool.sharded) =
                       List.hd runs
                     in
-                    let top_d, (top : Secpol.Par.Serve.stats) =
+                    let top_d, (top : _ Secpol.Par.Pool.sharded) =
                       List.hd (List.rev runs)
                     in
                     let scaling =
@@ -616,7 +617,7 @@ let bench_cmd =
                     in
                     if not json then begin
                       List.iter
-                        (fun (d, (s : Secpol.Par.Serve.stats)) ->
+                        (fun (d, (s : _ Secpol.Par.Pool.sharded)) ->
                           Printf.printf
                             "parallel %d domain(s): %10.0f decisions/s\n" d
                             s.throughput)

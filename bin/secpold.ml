@@ -58,7 +58,7 @@ let policy_file =
 (* ---------- serve ---------- *)
 
 let serve_cmd =
-  let run file socket tcp domains strategy no_cache queue_capacity watchdog_ms =
+  let run file socket tcp domains strategy queue_capacity watchdog_ms =
     match load_db file with
     | Error e ->
         Printf.eprintf "%s\n" e;
@@ -71,7 +71,6 @@ let serve_cmd =
             tcp_port = tcp;
             domains;
             strategy;
-            cache = not no_cache;
             queue_capacity;
             watchdog_deadline_s = watchdog_ms /. 1e3;
           }
@@ -116,10 +115,6 @@ let serve_cmd =
              ~doc:"Resolution strategy: $(b,deny-overrides), \
                    $(b,allow-overrides) or $(b,first-match).")
   in
-  let no_cache =
-    Arg.(value & flag
-         & info [ "no-cache" ] ~doc:"Disable the per-worker decision cache.")
-  in
   let queue_capacity =
     Arg.(value & opt int 1024
          & info [ "queue" ] ~docv:"N"
@@ -142,7 +137,7 @@ let serve_cmd =
                $(b,secpold reload) without dropping a request.";
          ])
     Term.(const run $ policy_file $ socket_arg $ tcp $ domains $ strategy
-          $ no_cache $ queue_capacity $ watchdog_ms)
+          $ queue_capacity $ watchdog_ms)
 
 (* ---------- reload ---------- *)
 

@@ -2,8 +2,6 @@ module Ir = Secpol_policy.Ir
 
 type key = Subject | Asset
 
-let key_name = function Subject -> "subject" | Asset -> "asset"
-
 (* 32-bit FNV-1a; OCaml's native int is at least 63 bits, so the masked
    multiply never overflows into the sign bit *)
 let fnv_offset = 0x811c9dc5
@@ -25,8 +23,6 @@ let shard_of_string ~shards s =
 
 let label_of key (req : Ir.request) =
   match key with Subject -> req.Ir.subject | Asset -> req.Ir.asset
-
-let shard_of key ~shards req = shard_of_string ~shards (label_of key req)
 
 let assign_by ~shards label items =
   if shards < 1 then invalid_arg "Partition.assign_by: shards < 1";

@@ -20,16 +20,12 @@
 
 type key = Subject | Asset
 
-val key_name : key -> string
-
 val hash_string : string -> int
 (** 32-bit FNV-1a, in [\[0, 2^32)]. *)
 
 val shard_of_string : shards:int -> string -> int
 (** [hash_string] reduced to [\[0, shards)].
     @raise Invalid_argument when [shards < 1]. *)
-
-val shard_of : key -> shards:int -> Secpol_policy.Ir.request -> int
 
 val assign_by : shards:int -> ('a -> string) -> 'a array -> int array array
 (** [assign_by ~shards label items] routes each item to

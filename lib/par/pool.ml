@@ -1,7 +1,10 @@
 module Ir = Secpol_policy.Ir
+module Ast = Secpol_policy.Ast
+module Batch = Secpol_policy.Batch
 module Engine = Secpol_policy.Engine
 module Table = Secpol_policy.Table
 module Registry = Secpol_obs.Registry
+module Clock = Secpol_obs.Clock
 
 (* ------------------------------------------------------------------ *)
 (* Policy generations                                                  *)
@@ -52,12 +55,12 @@ let await ticket =
   | Pending -> assert false
 
 (* [Condition] has no timed wait in the stdlib, so the deadline path
-   polls: check, sleep half a millisecond, re-check.  The watchdog
-   deadlines this serves are milliseconds — a 0.5 ms poll quantum is
-   noise there, and the slow path only runs when a shard has already
-   stalled. *)
+   polls: check, sleep half a millisecond, re-check.  The daemon awaits
+   every decide batch here, so the poll quantum is paid on the normal
+   served path, not only when a shard has stalled; a blocking wait that
+   keeps the deadline is ROADMAP item 1(b). *)
 let await_timeout ticket ~timeout_s =
-  let deadline = Secpol_obs.Clock.now () +. timeout_s in
+  let deadline = Clock.now () +. timeout_s in
   let rec wait () =
     Mutex.lock ticket.t_mu;
     let st = ticket.state in
@@ -66,7 +69,7 @@ let await_timeout ticket ~timeout_s =
     | Done v -> Some (Ok v)
     | Raised e -> Some (Error e)
     | Pending ->
-        if Secpol_obs.Clock.now () >= deadline then None
+        if Clock.now () >= deadline then None
         else begin
           (try Unix.sleepf 0.0005 with Unix.Unix_error _ -> ());
           wait ()
@@ -79,7 +82,6 @@ let await_timeout ticket ~timeout_s =
 (* ------------------------------------------------------------------ *)
 
 type worker = {
-  shard : int;
   mutable engine : Engine.t;
   mutable registry : Registry.t; (* instruments of the current engine *)
   retired : Registry.t; (* accumulated telemetry of pre-swap engines *)
@@ -87,14 +89,14 @@ type worker = {
   mutable epoch_seen : int;
 }
 
-type job = worker -> unit
+type task = worker -> unit
 
 (* An SPSC ring per shard: one consumer (the pinned worker domain), many
    producers (client connection threads) serialised by the producer
    mutex.  Head and tail are atomics so the consumer's fast path never
    takes the lock; the condvar only parks an idle consumer. *)
 type ring = {
-  slots : job option array; (* length is a power of two *)
+  slots : task option array; (* length is a power of two *)
   mask : int;
   head : int Atomic.t; (* next slot to consume *)
   tail : int Atomic.t; (* next slot to fill *)
@@ -169,38 +171,14 @@ let ring_pop ring ~stop =
 
 type t = {
   current : generation Atomic.t;
-  mutable workers : worker array;
   rings : ring array;
   mutable handles : unit Domain.t array;
   stop : bool Atomic.t;
-  cache : bool;
-  cache_capacity : int option;
   mutable joined : bool;
 }
 
-let zero_stats : Engine.stats =
-  {
-    decisions = 0;
-    allows = 0;
-    denies = 0;
-    cache_hits = 0;
-    cache_misses = 0;
-    cache_flushes = 0;
-  }
-
-let add_stats (a : Engine.stats) (b : Engine.stats) : Engine.stats =
-  {
-    decisions = a.decisions + b.decisions;
-    allows = a.allows + b.allows;
-    denies = a.denies + b.denies;
-    cache_hits = a.cache_hits + b.cache_hits;
-    cache_misses = a.cache_misses + b.cache_misses;
-    cache_flushes = a.cache_flushes + b.cache_flushes;
-  }
-
-let make_engine pool registry gen =
-  Engine.of_table ~cache:pool.cache ?cache_capacity:pool.cache_capacity
-    ~obs:registry gen.table gen.db
+let make_engine registry gen =
+  Engine.of_table ~cache:false ~obs:registry gen.table gen.db
 
 (* Job-boundary epoch check: requests of a batch already being decided
    finish against the generation they started on (a coherent answer),
@@ -211,10 +189,11 @@ let refresh pool w =
   let gen = Atomic.get pool.current in
   if gen.epoch <> w.epoch_seen then begin
     Registry.merge_into ~into:w.retired w.registry;
-    w.retired_stats <- add_stats w.retired_stats (Engine.stats w.engine);
+    w.retired_stats <-
+      Engine.add_stats w.retired_stats (Engine.stats w.engine);
     let registry = Registry.create () in
     w.registry <- registry;
-    w.engine <- make_engine pool registry gen;
+    w.engine <- make_engine registry gen;
     w.epoch_seen <- gen.epoch
   end
 
@@ -230,36 +209,30 @@ let worker_loop pool w ring ready =
   in
   loop ()
 
-let create ?(cache = true) ?cache_capacity ?(queue_capacity = 1024) ~domains
-    table db =
+let create ?(queue_capacity = 1024) ~domains table db =
   if domains < 1 then invalid_arg "Pool.create: domains < 1";
   if queue_capacity < 1 then invalid_arg "Pool.create: queue_capacity < 1";
   let gen = { epoch = 1; table; db } in
   let pool =
     {
       current = Atomic.make gen;
-      workers = [||];
       rings = Array.init domains (fun _ -> ring_create queue_capacity);
       handles = [||];
       stop = Atomic.make false;
-      cache;
-      cache_capacity;
       joined = false;
     }
   in
   let workers =
-    Array.init domains (fun shard ->
+    Array.init domains (fun _ ->
         let registry = Registry.create () in
         {
-          shard;
-          engine = make_engine pool registry gen;
+          engine = make_engine registry gen;
           registry;
           retired = Registry.create ();
-          retired_stats = zero_stats;
+          retired_stats = Engine.zero_stats;
           epoch_seen = gen.epoch;
         })
   in
-  pool.workers <- workers;
   let ready = Atomic.make 0 in
   pool.handles <-
     Array.init domains (fun shard ->
@@ -272,11 +245,9 @@ let create ?(cache = true) ?cache_capacity ?(queue_capacity = 1024) ~domains
   done;
   pool
 
-let domains pool = Array.length pool.workers
+let domains pool = Array.length pool.rings
 
 let epoch pool = (Atomic.get pool.current).epoch
-
-let table pool = (Atomic.get pool.current).table
 
 let db pool = (Atomic.get pool.current).db
 
@@ -298,8 +269,6 @@ let try_submit pool ~shard f =
     if ring_push pool.rings.(shard) job then Some t else None
   end
 
-let worker_shard w = w.shard
-
 let worker_engine w = w.engine
 
 let worker_epoch w = w.epoch_seen
@@ -308,7 +277,7 @@ let worker_snapshot w =
   let registry = Registry.create () in
   Registry.merge_into ~into:registry w.retired;
   Registry.merge_into ~into:registry w.registry;
-  (add_stats w.retired_stats (Engine.stats w.engine), registry)
+  (Engine.add_stats w.retired_stats (Engine.stats w.engine), registry)
 
 let shutdown pool =
   if not pool.joined then begin
@@ -322,3 +291,64 @@ let shutdown pool =
       pool.rings;
     Array.iter Domain.join pool.handles
   end
+
+(* ------------------------------------------------------------------ *)
+(* One-shot sharded runs                                               *)
+(* ------------------------------------------------------------------ *)
+
+type 'a job = Engine.t -> (float * Ir.request) array -> 'a array
+
+let scalar engine = Array.map (fun (now, req) -> Engine.decide ~now engine req)
+
+let batched engine work =
+  let out = Array.make (Array.length work) Ast.Deny in
+  Engine.decide_batch engine (Batch.of_work work) ~out;
+  out
+
+type 'a sharded = {
+  results : 'a array;
+  per_shard : int array;
+  elapsed_s : float;
+  throughput : float;
+  engine : Engine.stats;
+  registry : Registry.t;
+}
+
+let run_sharded ?(key = Partition.Subject) ~domains job table db work =
+  let pool = create ~domains table db in
+  Fun.protect
+    ~finally:(fun () -> shutdown pool)
+    (fun () ->
+      let shards = Partition.assign key ~shards:domains (Array.map snd work) in
+      let slices = Array.map (Array.map (fun i -> work.(i))) shards in
+      (* all submitted before any is awaited; each ring of this fresh pool
+         holds at most one job at a time, so admission cannot fail *)
+      let on_every_shard f =
+        Array.mapi
+          (fun shard x -> Option.get (try_submit pool ~shard (f x)))
+          slices
+        |> Array.map await
+      in
+      let started = Clock.now () in
+      let outs = on_every_shard (fun slice w -> job w.engine slice) in
+      (* clamped, so a sub-resolution run reports a lower bound on
+         throughput, not an infinite one that would poison ratio gates *)
+      let elapsed_s = Float.max (Clock.now () -. started) Clock.resolution in
+      let snapshots = on_every_shard (fun _ -> worker_snapshot) in
+      let registry = Registry.create () in
+      Array.iter (fun (_, r) -> Registry.merge_into ~into:registry r) snapshots;
+      let order = Array.concat (Array.to_list shards) in
+      let flat = Array.concat (Array.to_list outs) in
+      let results = Array.copy flat in
+      Array.iteri (fun k i -> results.(i) <- flat.(k)) order;
+      {
+        results;
+        per_shard = Array.map Array.length shards;
+        elapsed_s;
+        throughput = float_of_int (Array.length work) /. elapsed_s;
+        engine =
+          Array.fold_left
+            (fun acc (stats, _) -> Engine.add_stats acc stats)
+            Engine.zero_stats snapshots;
+        registry;
+      })

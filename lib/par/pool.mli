@@ -1,12 +1,13 @@
-(** A persistent domain pool: the serving core behind [secpold].
+(** A persistent domain pool: the one parallel runner for policy
+    decisions.
 
-    {!Serve.run} spawns and joins a fresh set of domains on every call —
-    fine for a one-shot batch, hopeless for a daemon, where domain
-    startup would dominate small requests.  The pool spawns one pinned
-    worker per shard {e once}; each worker owns a private
-    {!Secpol_policy.Engine.of_table} engine and
+    The pool spawns one pinned worker per shard {e once}; each worker
+    owns a private {!Secpol_policy.Engine.of_table} engine and
     {!Secpol_obs.Registry} over the shared immutable
     {!Secpol_policy.Table}, and drains jobs from its own request ring.
+    [secpold] keeps one pool for its whole lifetime, so domain startup
+    never lands on a request; one-shot bulk runs ({!run_sharded}) create
+    a pool, submit one job per shard and shut it down.
 
     {b Hot swap (RCU-style).}  The current policy generation — epoch,
     compiled table, source db — lives behind a single atomic pointer.
@@ -36,8 +37,6 @@ type 'a ticket
     after resolution returns immediately. *)
 
 val create :
-  ?cache:bool ->
-  ?cache_capacity:int ->
   ?queue_capacity:int ->
   domains:int ->
   Secpol_policy.Table.t ->
@@ -46,17 +45,16 @@ val create :
 (** Spawn [domains] pinned workers over a compiled table and its source
     db (generation 1).  [queue_capacity] (default 1024, rounded up to a
     power of two) bounds each shard's request ring — the backpressure
-    point.  [cache]/[cache_capacity] configure each worker's private
-    engine.  Returns only once every worker is parked in its serve loop,
-    so first-request latency never includes domain startup.
+    point.  Worker engines are cacheless: the daemon decides through
+    {!Secpol_policy.Engine.decide_batch}, which bypasses the cache.
+    Returns only once every worker is parked in its serve loop, so
+    first-request latency never includes domain startup.
     @raise Invalid_argument when [domains < 1] or [queue_capacity < 1]. *)
 
 val domains : t -> int
 
 val epoch : t -> int
 (** Epoch of the currently published generation (starts at 1). *)
-
-val table : t -> Secpol_policy.Table.t
 
 val db : t -> Secpol_policy.Ir.db
 
@@ -78,10 +76,11 @@ val await : 'a ticket -> 'a
 val await_timeout : 'a ticket -> timeout_s:float -> ('a, exn) result option
 (** Like {!await} with a deadline: [None] when the deadline passed with
     the job still pending (the job is {e not} cancelled — a later await
-    can still collect it).  Polls at ~0.5 ms granularity, which only
-    matters on the already-degraded path. *)
-
-val worker_shard : worker -> int
+    can still collect it).  Polls at ~0.5 ms granularity.  That is not
+    a degraded-path cost: the daemon awaits every decide batch and every
+    stats snapshot through it, so a batch its worker finishes in
+    microseconds can still wait out a whole poll.  Replacing the poll
+    with a blocking wait that keeps the deadline is ROADMAP item 1(b). *)
 
 val worker_engine : worker -> Secpol_policy.Engine.t
 (** The shard's current private engine — rebound on epoch change, so
@@ -99,3 +98,44 @@ val worker_snapshot : worker -> Secpol_policy.Engine.stats * Secpol_obs.Registry
 val shutdown : t -> unit
 (** Stop accepting jobs, drain every ring, join every worker.
     Idempotent.  Jobs admitted before shutdown still execute. *)
+
+(** {2 One-shot sharded runs} *)
+
+type 'a job =
+  Secpol_policy.Engine.t ->
+  (float * Secpol_policy.Ir.request) array ->
+  'a array
+(** Decides every [(now, request)] pair in order, one result each. *)
+
+val scalar : Secpol_policy.Engine.outcome job
+(** One {!Secpol_policy.Engine.decide} per request. *)
+
+val batched : Secpol_policy.Ast.decision job
+(** One {!Secpol_policy.Batch} arena and one
+    {!Secpol_policy.Engine.decide_batch} call. *)
+
+type 'a sharded = {
+  results : 'a array;  (** one per request, in input order *)
+  per_shard : int array;  (** requests each shard decided *)
+  elapsed_s : float;  (** submit to last await, >= the clock resolution *)
+  throughput : float;  (** requests per elapsed second *)
+  engine : Secpol_policy.Engine.stats;  (** summed over shards *)
+  registry : Secpol_obs.Registry.t;  (** shard registries merged *)
+}
+
+val run_sharded :
+  ?key:Partition.key ->
+  domains:int ->
+  'a job ->
+  Secpol_policy.Table.t ->
+  Secpol_policy.Ir.db ->
+  (float * Secpol_policy.Ir.request) array ->
+  'a sharded
+(** Create a [domains]-worker pool, split [work] with {!Partition.assign}
+    under [key] (default {!Partition.Subject}), run [job] once per shard,
+    scatter the results back into input order and shut the pool down;
+    pool startup stays off the clock.  Per-key state never leaves its
+    shard and each shard keeps input order, so the run equals [job] over
+    all of [work] on one cacheless engine (timestamps must be
+    non-decreasing per key, see {!Secpol_policy.Rate_window}).
+    @raise Invalid_argument when [domains < 1]. *)

@@ -378,6 +378,26 @@ let stats t =
     cache_flushes = Obs.Counter.value t.c_cache_flushes;
   }
 
+let zero_stats =
+  {
+    decisions = 0;
+    allows = 0;
+    denies = 0;
+    cache_hits = 0;
+    cache_misses = 0;
+    cache_flushes = 0;
+  }
+
+let add_stats a b =
+  {
+    decisions = a.decisions + b.decisions;
+    allows = a.allows + b.allows;
+    denies = a.denies + b.denies;
+    cache_hits = a.cache_hits + b.cache_hits;
+    cache_misses = a.cache_misses + b.cache_misses;
+    cache_flushes = a.cache_flushes + b.cache_flushes;
+  }
+
 let pp_outcome ppf o =
   Format.fprintf ppf "%s%s"
     (Ast.decision_name o.decision)

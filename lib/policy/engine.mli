@@ -146,4 +146,9 @@ type stats = {
 
 val stats : t -> stats
 
+val zero_stats : stats
+
+val add_stats : stats -> stats -> stats
+(** Field-wise sum, for totals over shards or retired generations. *)
+
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -1,6 +1,5 @@
 module Ir = Secpol_policy.Ir
 module Ast = Secpol_policy.Ast
-module Batch = Secpol_policy.Batch
 module Engine = Secpol_policy.Engine
 module Table = Secpol_policy.Table
 module Compile = Secpol_policy.Compile
@@ -18,7 +17,6 @@ type config = {
   tcp_port : int option;
   domains : int;
   strategy : Engine.strategy;
-  cache : bool;
   queue_capacity : int;
   watchdog_deadline_s : float;
   admission_retries : int;
@@ -31,7 +29,6 @@ let default_config =
     tcp_port = None;
     domains = 1;
     strategy = Engine.Deny_overrides;
-    cache = true;
     queue_capacity = 1024;
     watchdog_deadline_s = 1.0;
     admission_retries = 3;
@@ -62,41 +59,9 @@ type t = {
   c_reloads_refused : Obs.Counter.t;
 }
 
-let zero_stats : Engine.stats =
-  {
-    decisions = 0;
-    allows = 0;
-    denies = 0;
-    cache_hits = 0;
-    cache_misses = 0;
-    cache_flushes = 0;
-  }
-
-let add_stats (a : Engine.stats) (b : Engine.stats) : Engine.stats =
-  {
-    decisions = a.decisions + b.decisions;
-    allows = a.allows + b.allows;
-    denies = a.denies + b.denies;
-    cache_hits = a.cache_hits + b.cache_hits;
-    cache_misses = a.cache_misses + b.cache_misses;
-    cache_flushes = a.cache_flushes + b.cache_flushes;
-  }
-
 (* ------------------------------------------------------------------ *)
 (* Deciding                                                            *)
 (* ------------------------------------------------------------------ *)
-
-(* One shard's slice of a client batch, run on the shard's worker: pack
-   into the arena, decide in bulk.  A stalled engine answers nothing —
-   the caller turns that into fail-safe denies. *)
-let decide_job reqs idxs now (w : Pool.worker) =
-  let n = Array.length idxs in
-  let batch = Batch.create ~capacity:(max 1 n) () in
-  Array.iter (fun i -> Batch.push ~now batch reqs.(i)) idxs;
-  let out = Array.make n Ast.Deny in
-  match Engine.decide_batch (Pool.worker_engine w) batch ~out with
-  | () -> Ok out
-  | exception Engine.Unavailable -> Error `Stalled
 
 (* Admission follows the gateway's retry-then-shed discipline: a full
    ring gets a few exponentially backed-off retries (the worker drains
@@ -127,15 +92,17 @@ let handle_decide t id reqs =
   if n > 0 then begin
     let now = Clock.now () -. t.started_at in
     let shards =
-      Partition.assign_by ~shards:(Pool.domains t.pool)
-        (fun (r : Ir.request) -> r.subject)
-        reqs
+      Partition.assign Partition.Subject ~shards:(Pool.domains t.pool) reqs
     in
     let pending = ref [] in
     Array.iteri
       (fun shard idxs ->
         if Array.length idxs > 0 then
-          match submit_with_retry t ~shard (decide_job reqs idxs now) with
+          let job w =
+            Pool.batched (Pool.worker_engine w)
+              (Array.map (fun i -> (now, reqs.(i))) idxs)
+          in
+          match submit_with_retry t ~shard job with
           | Some ticket -> pending := (idxs, ticket) :: !pending
           | None ->
               (* denied by default: [allows] already reads false *)
@@ -147,10 +114,11 @@ let handle_decide t id reqs =
         match
           Pool.await_timeout ticket ~timeout_s:t.config.watchdog_deadline_s
         with
-        | Some (Ok (Ok out)) ->
+        | Some (Ok out) ->
             Array.iteri (fun k i -> allows.(i) <- out.(k) = Ast.Allow) idxs
-        | Some (Ok (Error `Stalled)) | Some (Error _) ->
-            (* the shard answered "no answer": fail safe, deny the slice *)
+        | Some (Error _) ->
+            (* the shard answered "no answer" (a stalled engine raises
+               [Engine.Unavailable]): fail safe, deny the slice *)
             degraded := true;
             Obs.Counter.add t.c_failsafe (Array.length idxs)
         | None ->
@@ -241,16 +209,13 @@ let engine_stats_json (s : Engine.stats) =
       ("decisions", Json.Int s.decisions);
       ("allows", Json.Int s.allows);
       ("denies", Json.Int s.denies);
-      ("cache_hits", Json.Int s.cache_hits);
-      ("cache_misses", Json.Int s.cache_misses);
-      ("cache_flushes", Json.Int s.cache_flushes);
     ]
 
 let stats_json t =
   let domains = Pool.domains t.pool in
   let merged = Registry.create () in
   Registry.merge_into ~into:merged t.registry;
-  let engine = ref zero_stats in
+  let engine = ref Engine.zero_stats in
   let missing = ref 0 in
   (* Each shard snapshots itself as a job, so the snapshot reads
      quiesced worker state; a wedged shard times out and is reported
@@ -263,7 +228,7 @@ let stats_json t =
           Pool.await_timeout ticket ~timeout_s:t.config.watchdog_deadline_s
         with
         | Some (Ok (stats, registry)) ->
-            engine := add_stats !engine stats;
+            engine := Engine.add_stats !engine stats;
             Registry.merge_into ~into:merged registry
         | Some (Error _) | None -> incr missing)
   done;
@@ -382,8 +347,8 @@ let start ?(config = default_config) db =
   if config.domains < 1 then invalid_arg "Daemon.start: domains < 1";
   let table = Table.compile ~strategy:config.strategy db in
   let pool =
-    Pool.create ~cache:config.cache ~queue_capacity:config.queue_capacity
-      ~domains:config.domains table db
+    Pool.create ~queue_capacity:config.queue_capacity ~domains:config.domains
+      table db
   in
   let registry = Registry.create () in
   let counter name =

@@ -28,7 +28,6 @@ type config = {
   tcp_port : int option;  (** loopback TCP listener when [Some] *)
   domains : int;  (** worker shards *)
   strategy : Secpol_policy.Engine.strategy;
-  cache : bool;  (** per-worker decision cache *)
   queue_capacity : int;  (** per-shard ring depth (admission bound) *)
   watchdog_deadline_s : float;  (** per-shard answer deadline *)
   admission_retries : int;  (** retries before shedding a full ring *)

@@ -6,8 +6,9 @@ module Ast = Secpol_policy.Ast
 module Ir = Secpol_policy.Ir
 module Compile = Secpol_policy.Compile
 module Engine = Secpol_policy.Engine
+module Table = Secpol_policy.Table
 module Partition = Secpol_par.Partition
-module Serve = Secpol_par.Serve
+module Pool = Secpol_par.Pool
 module Frame_gate = Secpol_par.Frame_gate
 module Config = Secpol_hpe.Config
 module Identifier = Secpol_can.Identifier
@@ -62,19 +63,29 @@ let registry_counters r =
 let registry_histogram_counts r =
   List.map (fun (name, h) -> (name, Histogram.count h)) (Registry.histograms r)
 
+let table_of ?(strategy = Engine.Deny_overrides) db = Table.compile ~strategy db
+
+(* The reference every sharded run must reproduce: one cacheless engine
+   deciding the whole workload in input order, with no pool. *)
+let sequential job table db work =
+  let registry = Registry.create () in
+  let engine = Engine.of_table ~cache:false ~obs:registry table db in
+  let results = job engine work in
+  (results, Engine.stats engine, registry)
+
 let same_as_sequential ?strategy db work =
-  let seq = Serve.run_sequential ?strategy db work in
+  let table = table_of ?strategy db in
+  let outcomes, stats, registry = sequential Pool.scalar table db work in
   List.for_all
     (fun key ->
       List.for_all
         (fun domains ->
-          let par = Serve.run ~domains ~key ?strategy db work in
-          par.Serve.outcomes = seq.Serve.outcomes
-          && par.Serve.stats.engine = seq.Serve.stats.engine
-          && registry_counters par.Serve.registry
-             = registry_counters seq.Serve.registry
-          && registry_histogram_counts par.Serve.registry
-             = registry_histogram_counts seq.Serve.registry)
+          let par = Pool.run_sharded ~domains ~key Pool.scalar table db work in
+          par.results = outcomes
+          && par.engine = stats
+          && registry_counters par.registry = registry_counters registry
+          && registry_histogram_counts par.registry
+             = registry_histogram_counts registry)
         [ 1; 2; 4 ])
     [ Partition.Subject; Partition.Asset ]
 
@@ -98,7 +109,7 @@ let test_serve_matches_sequential () =
           { Ir.mode = "normal"; subject; asset; op; msg_id = None } ))
   in
   Alcotest.(check bool)
-    "sharded runs identical to the sequential engine (rates, caches, \
+    "sharded runs identical to the sequential engine (rates, stats, \
      telemetry)"
     true
     (same_as_sequential db work)
@@ -116,23 +127,19 @@ let test_serve_stats_shape () =
             msg_id = None;
           } ))
   in
-  let r = Serve.run ~domains:3 db work in
-  check Alcotest.int "domains" 3 r.Serve.stats.domains;
-  check Alcotest.int "served" 50 r.Serve.stats.served;
-  check Alcotest.int "one slice per shard" 3
-    (Array.length r.Serve.stats.per_shard);
+  let r = Pool.run_sharded ~domains:3 Pool.scalar (table_of db) db work in
+  check Alcotest.int "served" 50 (Array.length r.results);
+  check Alcotest.int "one slice per shard" 3 (Array.length r.per_shard);
   check Alcotest.int "per-shard counts sum to served" 50
-    (Array.fold_left ( + ) 0 r.Serve.stats.per_shard);
-  check Alcotest.int "every request decided" 50
-    r.Serve.stats.engine.Engine.decisions
+    (Array.fold_left ( + ) 0 r.per_shard);
+  check Alcotest.int "every request decided" 50 r.engine.Engine.decisions
 
 (* The timed region must start only after every domain is running:
    [Domain.spawn] costs ~ms per domain, and billing startup as serving
    time made the measured region scale with the domain count.  The
-   observable contract: the wall time of a [Serve.run] call spent
+   observable contract: the wall time of a [Pool.run_sharded] call spent
    OUTSIDE the reported [elapsed_s] must at least cover the cost of
-   spawning the domains.  Before the barrier fix that gap was only the
-   policy compile + partition (microseconds), so the assertion bites. *)
+   spawning the domains. *)
 let test_serve_excludes_spawn_overhead () =
   let db = compile_ok rated_source in
   let domains = 8 in
@@ -155,7 +162,7 @@ let test_serve_excludes_spawn_overhead () =
     !best
   in
   (* startup cost: spawn [domains] domains and wait until all are
-     running — exactly the phase the start barrier keeps off the clock.
+     running — exactly the phase [Pool.create] keeps off the clock.
      Joins happen outside the measurement. *)
   let spawn_cost =
     min_of 5 (fun () ->
@@ -186,11 +193,12 @@ let test_serve_excludes_spawn_overhead () =
         Array.iter Domain.join ds;
         dt)
   in
+  let table = table_of db in
   let outside =
     min_of 10 (fun () ->
         let t0 = Clock.now () in
-        let r = Serve.run ~domains db work in
-        Clock.now () -. t0 -. r.Serve.stats.elapsed_s)
+        let r = Pool.run_sharded ~domains Pool.scalar table db work in
+        Clock.now () -. t0 -. r.elapsed_s)
   in
   check Alcotest.bool
     (Printf.sprintf
@@ -215,26 +223,25 @@ let test_serve_throughput_clamped () =
         } );
     |]
   in
-  let r = Serve.run_sequential db work in
+  let table = table_of db in
+  let r = Pool.run_sharded ~domains:1 Pool.scalar table db work in
   check Alcotest.bool "elapsed at least clock resolution" true
-    (r.Serve.stats.elapsed_s >= Clock.resolution);
+    (r.elapsed_s >= Clock.resolution);
   check Alcotest.bool "throughput positive and finite" true
-    (r.Serve.stats.throughput > 0.
-    && Float.is_finite r.Serve.stats.throughput);
-  let b = Serve.run_batch_sequential db work in
+    (r.throughput > 0. && Float.is_finite r.throughput);
+  let b = Pool.run_sharded ~domains:1 Pool.batched table db work in
   check Alcotest.bool "batched throughput positive and finite" true
-    (b.Serve.stats.throughput > 0.
-    && Float.is_finite b.Serve.stats.throughput)
+    (b.throughput > 0. && Float.is_finite b.throughput)
 
 let test_serve_validates_domains () =
   let db = compile_ok rated_source in
   Alcotest.check_raises "domains < 1"
-    (Invalid_argument "Serve.run: domains < 1") (fun () ->
-      ignore (Serve.run ~domains:0 db [||]))
+    (Invalid_argument "Pool.create: domains < 1") (fun () ->
+      ignore (Pool.run_sharded ~domains:0 Pool.scalar (table_of db) db [||]))
 
-(* The batched server must scatter exactly the decisions the scalar
-   sharded run produces — same rate consumption per shard, same input
-   order — at every domain count and partition key. *)
+(* The batched job must scatter exactly the decisions the scalar one
+   produces — same rate consumption per shard, same input order — at
+   every domain count and partition key. *)
 let test_serve_batch_matches_run () =
   let db = compile_ok rated_source in
   let subjects = [ "alice"; "bob"; "carol"; "infotainment"; "dave" ] in
@@ -246,25 +253,23 @@ let test_serve_batch_matches_run () =
         ( float_of_int k *. 0.01,
           { Ir.mode = "normal"; subject; asset; op; msg_id = None } ))
   in
-  let seq = Serve.run_batch_sequential db work in
-  let scalar = Serve.run_sequential db work in
+  let table = table_of db in
+  let seq, _, _ = sequential Pool.batched table db work in
+  let scalar, _, _ = sequential Pool.scalar table db work in
   Alcotest.(check bool) "sequential batch = sequential scalar decisions" true
-    (Array.to_list seq.Serve.decisions
-    = List.map
-        (fun (o : Secpol_policy.Engine.outcome) -> o.decision)
-        (Array.to_list scalar.Serve.outcomes));
+    (seq = Array.map (fun (o : Engine.outcome) -> o.decision) scalar);
   List.iter
     (fun key ->
       List.iter
         (fun domains ->
-          let par = Serve.run_batch ~domains ~key db work in
+          let par = Pool.run_sharded ~domains ~key Pool.batched table db work in
           Alcotest.(check bool)
             (Printf.sprintf "batched %d-domain run = sequential (%s)" domains
                (match key with
                | Partition.Subject -> "subject"
                | Partition.Asset -> "asset"))
             true
-            (par.Serve.decisions = seq.Serve.decisions))
+            (par.results = seq))
         [ 1; 2; 4 ])
     [ Partition.Subject; Partition.Asset ]
 
