@@ -33,6 +33,7 @@ module Lifecycle = Secpol_lifecycle
 module Par = Secpol_par
 module Serve_daemon = Secpol_serve.Daemon
 module Serve_client = Secpol_serve.Client
+module Tcar = V.Topology_car
 
 let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
@@ -138,15 +139,18 @@ let fig2 () =
         (String.concat ", " (List.map (fun (m : V.Messages.t) -> m.name) rx)))
     V.Names.nodes;
   subsection "Live connectivity (1 s of simulated traffic)";
-  let car = V.Car.create () in
-  V.Car.run car ~seconds:1.0;
+  let car =
+    Tcar.create ~placement:`Central ~spec:(V.Segment_map.single_bus_spec ()) ()
+  in
+  Tcar.run car ~seconds:1.0;
+  let bus = Tcar.bus car V.Segment_map.seg_bus in
   Printf.printf "bus utilisation: %.1f%%  frames on the bus: %d\n"
-    (100.0 *. Can.Bus.utilisation car.V.Car.bus)
-    (Can.Bus.frames_sent car.V.Car.bus);
+    (100.0 *. Can.Bus.utilisation bus)
+    (Can.Bus.frames_sent bus);
   List.iter
     (fun node ->
       let stats =
-        Can.Controller.stats (Can.Node.controller (V.Car.node car node))
+        Can.Controller.stats (Can.Node.controller (Tcar.node car node))
       in
       Printf.printf "%-14s %s\n" node
         (Format.asprintf "%a" Can.Controller.pp_stats stats))
@@ -339,8 +343,8 @@ let q2 () =
 let q3 () =
   section "Q3: containment as firmware compromise spreads";
   let counts = [ 0; 1; 2; 3; 4; 5; 6; 7; 8 ] in
-  let sw = Campaign.firmware_sweep Campaign.Software ~compromised_counts:counts in
-  let hw = Campaign.firmware_sweep Campaign.Hardware ~compromised_counts:counts in
+  let sw = Campaign.firmware_sweep `Central ~compromised_counts:counts in
+  let hw = Campaign.firmware_sweep `Distributed ~compromised_counts:counts in
   Printf.printf "%-18s %-22s %-22s\n" "compromised nodes"
     "software filters" "hardware policy engine";
   Printf.printf "%-18s %-22s %-22s\n" "" "(forged delivered)" "(forged delivered)";
@@ -368,7 +372,7 @@ let q4 () =
       let s = Campaign.benign_run ~seconds:5.0 level in
       Printf.printf "%-26s %-14d %-14d %-14d\n" (Campaign.level_name level)
         s.Campaign.deliveries s.Campaign.hpe_blocks s.Campaign.undelivered)
-    [ Campaign.Off; Campaign.Software; Campaign.Hardware ];
+    [ `Unfiltered; `Central; `Distributed ];
   Printf.printf
     "\n(deliveries = frames accepted by designed consumers over 5 s; the HPE \
      row must show zero false blocks\nand zero undelivered designed frames)\n"
@@ -938,25 +942,26 @@ let ablation () =
     (match attempt () with Ok () -> "SUCCEEDS (BUG)" | Error _ -> "refused");
   subsection "Guideline architecture (gateway segmentation) vs policy (HPE)";
   let spoof_from_infotainment msg_id =
+    let attack car =
+      Tcar.run car ~seconds:0.3;
+      let node = Tcar.node car V.Names.infotainment in
+      Can.Controller.set_filters (Can.Node.controller node) [];
+      ignore
+        (Can.Node.send node
+           (Can.Frame.data_std msg_id (String.make 1 V.Messages.cmd_disable)));
+      Tcar.run car ~seconds:0.3;
+      Tcar.state car
+    in
     (* segmented car: infotainment compromised on the comfort bus *)
-    let seg = V.Segmented.create () in
-    V.Segmented.run seg ~seconds:0.3;
-    let node = V.Segmented.node seg V.Names.infotainment in
-    Can.Controller.set_filters (Can.Node.controller node) [];
-    ignore
-      (Can.Node.send node
-         (Can.Frame.data_std msg_id (String.make 1 V.Messages.cmd_disable)));
-    V.Segmented.run seg ~seconds:0.3;
+    let segmented =
+      attack
+        (Tcar.create ~placement:`Central
+           ~spec:(V.Segment_map.two_segment_spec ())
+           ())
+    in
     (* HPE car: same attack on the flat bus *)
-    let hpe_car = V.Car.create ~enforcement:(V.Car.Hpe (V.Policy_map.baseline ())) () in
-    V.Car.run hpe_car ~seconds:0.3;
-    let atk = V.Car.node hpe_car V.Names.infotainment in
-    Can.Controller.set_filters (Can.Node.controller atk) [];
-    ignore
-      (Can.Node.send atk
-         (Can.Frame.data_std msg_id (String.make 1 V.Messages.cmd_disable)));
-    V.Car.run hpe_car ~seconds:0.3;
-    (seg.V.Segmented.state, hpe_car.V.Car.state)
+    ( segmented,
+      attack (Tcar.create ~spec:(V.Segment_map.single_bus_spec ()) ()) )
   in
   let seg_eps, hpe_eps = spoof_from_infotainment V.Messages.eps_command in
   Printf.printf
@@ -981,20 +986,22 @@ let extension () =
   section "Extensions: behavioural & situational policies, spoof detection, fleet integrity";
   subsection "Residual row 14 closed by a situational policy update";
   let relock_after_crash policy =
-    let car = V.Car.create ~enforcement:(V.Car.Hpe policy) () in
-    V.Car.run car ~seconds:0.3;
-    V.Safety.trigger_crash (V.Car.node car V.Names.safety) car.V.Car.state;
-    V.Car.run car ~seconds:0.1;
-    V.Car.set_mode car V.Modes.Fail_safe;
-    let node = V.Car.node car V.Names.telematics in
+    let car =
+      Tcar.create ~policy ~spec:(V.Segment_map.single_bus_spec ()) ()
+    in
+    Tcar.run car ~seconds:0.3;
+    V.Safety.trigger_crash (Tcar.node car V.Names.safety) (Tcar.state car);
+    Tcar.run car ~seconds:0.1;
+    Tcar.set_mode car V.Modes.Fail_safe;
+    let node = Tcar.node car V.Names.telematics in
     Can.Controller.set_filters (Can.Node.controller node) [];
     let _ =
       Can.Node.send node
         (Can.Frame.data_std V.Messages.lock_command
            (String.make 1 V.Messages.cmd_lock))
     in
-    V.Car.run car ~seconds:0.3;
-    car.V.Car.state.V.State.doors_locked
+    Tcar.run car ~seconds:0.3;
+    (Tcar.state car).V.State.doors_locked
   in
   Printf.printf
     "  baseline policy (Table-I W row):   doors %s after the forged relock\n"
@@ -1006,9 +1013,13 @@ let extension () =
     (if relock_after_crash (V.Policy_map.hardened ()) then "RELOCKED (BUG)"
      else "stay open (rescue access preserved)");
   subsection "Replay storm shaped by a behavioural budget";
-  let car = V.Car.create ~enforcement:(V.Car.Hpe (V.Policy_map.hardened ())) () in
-  V.Car.run car ~seconds:0.3;
-  let node = V.Car.node car V.Names.telematics in
+  let car =
+    Tcar.create ~policy:(V.Policy_map.hardened ())
+      ~spec:(V.Segment_map.single_bus_spec ())
+      ()
+  in
+  Tcar.run car ~seconds:0.3;
+  let node = Tcar.node car V.Names.telematics in
   Can.Controller.set_filters (Can.Node.controller node) [];
   let accepted = ref 0 in
   for _ = 1 to 20 do
@@ -1018,22 +1029,24 @@ let extension () =
            (String.make 1 V.Messages.cmd_unlock))
     then incr accepted
   done;
-  let hpe = Option.get (V.Car.hpe car V.Names.telematics) in
+  let hpe = Option.get (Tcar.hpe car V.Names.telematics) in
   Printf.printf
     "  20 replayed lock commands from a compromised legitimate writer: %d \
      reach the bus (budget: 2 per 10 s; %d rate-blocked)\n"
     !accepted
     (Hpe.Engine.rate_blocks hpe);
   subsection "Impersonation (spoof) detection";
-  let car = V.Car.create ~enforcement:(V.Car.Hpe (V.Policy_map.baseline ())) () in
-  V.Car.run car ~seconds:0.3;
-  let alien = Can.Node.create ~name:"alien" car.V.Car.bus in
+  let car = Tcar.create ~spec:(V.Segment_map.single_bus_spec ()) () in
+  Tcar.run car ~seconds:0.3;
+  let alien =
+    Can.Node.create ~name:"alien" (Tcar.bus car V.Segment_map.seg_bus)
+  in
   for _ = 1 to 5 do
     ignore
       (Can.Node.send alien (Can.Frame.data_std V.Messages.brake_status "\xFF"))
   done;
-  V.Car.run car ~seconds:0.3;
-  let sensors_hpe = Option.get (V.Car.hpe car V.Names.sensors) in
+  Tcar.run car ~seconds:0.3;
+  let sensors_hpe = Option.get (Tcar.hpe car V.Names.sensors) in
   Printf.printf
     "  alien station forges 5 brake_status frames: the sensor cluster's HPE \
      raises %d spoof alerts\n  (it is the sole designed producer of that ID; \
@@ -1242,7 +1255,6 @@ let json_float f =
 (* ------------------------------------------------------------------ *)
 
 module Faults = Secpol_faults
-module Tcar = V.Topology_car
 module Topology = Can.Topology
 module Gate = Par.Frame_gate
 

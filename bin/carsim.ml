@@ -11,7 +11,7 @@
 *)
 
 module V = Secpol.Vehicle
-module Car = V.Car
+module Tcar = V.Topology_car
 module Catalog = V.Threat_catalog
 module Scenarios = Secpol.Attack.Scenarios
 module Campaign = Secpol.Attack.Campaign
@@ -21,16 +21,16 @@ open Cmdliner
 
 let enforcement_conv =
   let parse = function
-    | "off" | "none" -> Ok Campaign.Off
-    | "sw" | "software" -> Ok Campaign.Software
-    | "hpe" | "hardware" -> Ok Campaign.Hardware
+    | "off" | "none" -> Ok `Unfiltered
+    | "sw" | "software" -> Ok `Central
+    | "hpe" | "hardware" -> Ok `Distributed
     | s -> Error (`Msg (Printf.sprintf "unknown enforcement %S (off|sw|hpe)" s))
   in
   let print ppf level = Format.pp_print_string ppf (Campaign.level_name level) in
   Arg.conv (parse, print)
 
 let enforcement =
-  Arg.(value & opt enforcement_conv Campaign.Hardware
+  Arg.(value & opt enforcement_conv `Distributed
        & info [ "e"; "enforcement" ] ~docv:"LEVEL" ~doc:"off, sw or hpe.")
 
 let seed =
@@ -89,7 +89,8 @@ let gate_events car =
           event e.node Gate.Tx
       | Rx_delivered r | Rx_filtered r | Rx_blocked (r, _) | Rx_line_error r ->
           event r Gate.Rx)
-    (Secpol.Can.Trace.entries (Car.trace car))
+    (Secpol.Can.Trace.entries
+       (Secpol.Can.Bus.trace (Tcar.bus car V.Segment_map.seg_bus)))
   |> Array.of_list
 
 let gate_replay ~domains car =
@@ -133,15 +134,18 @@ let run_cmd =
   let run level seed seconds metrics_out parallel =
     let obs = Secpol.Obs.Registry.create () in
     let car =
-      Car.create ~seed ~enforcement:(Campaign.enforcement_of level) ~obs ()
+      Tcar.create ~seed ~placement:level ~obs
+        ~spec:(V.Segment_map.single_bus_spec ())
+        ()
     in
-    Car.run car ~seconds;
-    Format.printf "state after %.1f s: %a@." seconds V.State.pp car.Car.state;
+    Tcar.run car ~seconds;
+    Format.printf "state after %.1f s: %a@." seconds V.State.pp (Tcar.state car);
+    let bus = Tcar.bus car V.Segment_map.seg_bus in
     Printf.printf "bus utilisation: %.1f%%, frames: %d, deliveries: %d\n"
-      (100.0 *. Secpol.Can.Bus.utilisation car.Car.bus)
-      (Secpol.Can.Bus.frames_sent car.Car.bus)
-      (Car.total_deliveries car);
-    (match car.Car.hpes with
+      (100.0 *. Secpol.Can.Bus.utilisation bus)
+      (Secpol.Can.Bus.frames_sent bus)
+      (Tcar.total_deliveries car);
+    (match Tcar.hpes car with
     | [] -> ()
     | hpes ->
         List.iter
@@ -150,7 +154,7 @@ let run_cmd =
           hpes);
     List.iter
       (fun (t, msg) -> Printf.printf "[%8.3f] %s\n" t msg)
-      (V.State.events car.Car.state);
+      (V.State.events (Tcar.state car));
     (match metrics_out with
     | None -> ()
     | Some file ->
@@ -199,7 +203,7 @@ let attack_cmd =
         print_endline (Scenarios.description s);
         print_newline ();
         let o =
-          Scenarios.run ~seed ~enforcement:(Campaign.enforcement_of level) s
+          Scenarios.run ~seed ~placement:level s
         in
         Format.printf "%a@." Scenarios.pp_outcome o;
         Printf.printf "detail: %s\n" o.Scenarios.detail;
@@ -331,10 +335,14 @@ let policy_cmd =
 let sniff_cmd =
   let run level seed seconds =
     let car =
-      Car.create ~seed ~enforcement:(Campaign.enforcement_of level) ()
+      Tcar.create ~seed ~placement:level
+        ~spec:(V.Segment_map.single_bus_spec ())
+        ()
     in
-    Car.run car ~seconds;
-    print_string (Secpol.Can.Candump.export (Car.trace car));
+    Tcar.run car ~seconds;
+    print_string
+      (Secpol.Can.Candump.export
+         (Secpol.Can.Bus.trace (Tcar.bus car V.Segment_map.seg_bus)));
     0
   in
   let seconds =
@@ -361,25 +369,28 @@ let replay_cmd =
         1
     | Ok records ->
         let car =
-          Car.create ~seed ~enforcement:(Campaign.enforcement_of level) ()
+          Tcar.create ~seed ~placement:level
+            ~spec:(V.Segment_map.single_bus_spec ())
+            ()
         in
-        Car.run car ~seconds:0.2;
+        Tcar.run car ~seconds:0.2;
+        let bus = Tcar.bus car V.Segment_map.seg_bus in
         (* the replay device is foreign hardware on the bus *)
-        let _replayer = Secpol.Can.Node.create ~name:"replayer" car.Car.bus in
+        let _replayer = Secpol.Can.Node.create ~name:"replayer" bus in
         let span =
           List.fold_left
             (fun (lo, hi) (r : Secpol.Can.Candump.record) ->
               (min lo r.time, max hi r.time))
             (infinity, neg_infinity) records
         in
-        Secpol.Can.Candump.replay car.Car.sim car.Car.bus ~sender:"replayer"
+        Secpol.Can.Candump.replay (Tcar.sim car) bus ~sender:"replayer"
           records;
-        Car.run car ~seconds:(snd span -. fst span +. 1.0);
+        Tcar.run car ~seconds:(snd span -. fst span +. 1.0);
         Printf.printf "replayed %d frames from %s\n" (List.length records) file;
-        Format.printf "state after replay: %a@." V.State.pp car.Car.state;
+        Format.printf "state after replay: %a@." V.State.pp (Tcar.state car);
         List.iter
           (fun (t, msg) -> Printf.printf "[%8.3f] %s\n" t msg)
-          (V.State.events car.Car.state);
+          (V.State.events (Tcar.state car));
         0
   in
   let file =
@@ -394,7 +405,6 @@ let replay_cmd =
 
 let chaos_cmd =
   let module F = Secpol.Faults in
-  let module Tcar = V.Topology_car in
   (* segment-scoped plans run on the multi-segment topology car through
      the blast runner; everything else keeps the flat-bus harness *)
   let run_blast ~seed ~plan ~placement ~unbounded_gateway report_out =
@@ -466,7 +476,7 @@ let chaos_cmd =
                 output_char oc '\n');
             Printf.printf "fault report written to %s\n" file);
         let car = F.Harness.car outcome.F.Chaos.harness in
-        Format.printf "final state: %a@." V.State.pp car.Car.state;
+        Format.printf "final state: %a@." V.State.pp (Tcar.state car);
         (match F.Harness.failsafe_entered outcome.F.Chaos.harness with
         | None -> ()
         | Some at -> Printf.printf "entered fail-safe at %.4fs\n" at);

@@ -6,7 +6,7 @@
    Run with: dune exec examples/infotainment_attack.exe *)
 
 module V = Secpol.Vehicle
-module Car = V.Car
+module Tcar = V.Topology_car
 module Os = V.Infotainment_os
 module Selinux = Secpol.Selinux
 
@@ -39,16 +39,18 @@ let try_kill_propulsion car os installer =
   let sent = Os.send_can os ~as_:installer frame in
   Printf.printf "CAN write from the escalated domain: %s\n"
     (if sent then "reached the bus" else "refused");
-  Car.run car ~seconds:0.3;
+  Tcar.run car ~seconds:0.3;
   Printf.printf "propulsion: %s\n"
-    (if car.Car.state.V.State.ev_ecu_enabled then "intact"
+    (if (Tcar.state car).V.State.ev_ecu_enabled then "intact"
      else "KILLED from the media display")
 
 let () =
   (* Scene 1: factory policy, no HPE — the full Jeep-style chain works. *)
-  let car = Car.create () in
-  Car.run car ~seconds:0.3;
-  let os = Os.create_exn car.Car.state (Car.node car V.Names.infotainment) in
+  let car =
+    Tcar.create ~placement:`Central ~spec:(V.Segment_map.single_bus_spec ()) ()
+  in
+  Tcar.run car ~seconds:0.3;
+  let os = Os.create_exn (Tcar.state car) (Tcar.node car V.Names.infotainment) in
   (match attempt_chain os "factory software policy (v1), no HPE" with
   | Some installer -> try_kill_propulsion car os installer
   | None -> ());
@@ -70,9 +72,15 @@ let () =
 
   (* Scene 3: defence in depth — factory-sloppy software policy but an HPE
      on the node; the chain escalates in software yet dies at the bus. *)
-  let car2 = Car.create ~enforcement:(Car.Hpe (V.Policy_map.baseline ())) () in
-  Car.run car2 ~seconds:0.3;
-  let os2 = Os.create_exn car2.Car.state (Car.node car2 V.Names.infotainment) in
+  let car2 =
+    Tcar.create ~placement:`Distributed
+      ~spec:(V.Segment_map.single_bus_spec ())
+      ()
+  in
+  Tcar.run car2 ~seconds:0.3;
+  let os2 =
+    Os.create_exn (Tcar.state car2) (Tcar.node car2 V.Names.infotainment)
+  in
   (match
      attempt_chain os2 "factory software policy (v1) + hardware policy engine"
    with

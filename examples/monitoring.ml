@@ -7,7 +7,7 @@
    Run with: dune exec examples/monitoring.exe *)
 
 module V = Secpol.Vehicle
-module Car = V.Car
+module Tcar = V.Topology_car
 module Ids = V.Ids
 module Can = Secpol.Can
 
@@ -23,11 +23,16 @@ let scan_and_report ids label =
         incidents
 
 let () =
-  let car = Car.create ~enforcement:(Car.Hpe (V.Policy_map.baseline ())) () in
+  (* the IDS watches the paper's Fig. 2 car: all eight ECUs on one bus *)
+  let car =
+    Tcar.create ~placement:`Distributed
+      ~spec:(V.Segment_map.single_bus_spec ())
+      ()
+  in
   let ids = Ids.create car in
 
   banner "phase 1: normal driving";
-  Car.run car ~seconds:2.0;
+  Tcar.run car ~seconds:2.0;
   scan_and_report ids "after 2 s of clean traffic";
 
   banner "phase 2: the infotainment unit is compromised";
@@ -39,14 +44,15 @@ let () =
         (Secpol.Attack.Primitives.spoof atk ~msg_id
            ~payload:(String.make 1 V.Messages.cmd_disable)))
     [ V.Messages.ecu_command; V.Messages.eps_command; V.Messages.engine_command ];
-  Car.run car ~seconds:0.5;
+  Tcar.run car ~seconds:0.5;
   scan_and_report ids "after the probing attempts";
   Printf.printf "  vehicle state: propulsion %s, steering %s\n"
-    (if car.Car.state.V.State.ev_ecu_enabled then "intact" else "LOST")
-    (if car.Car.state.V.State.eps_active then "intact" else "LOST");
+    (if (Tcar.state car).V.State.ev_ecu_enabled then "intact" else "LOST")
+    (if (Tcar.state car).V.State.eps_active then "intact" else "LOST");
 
   banner "phase 3: an alien station joins the bus";
-  let alien = Secpol.Attack.Attacker.alien car ~name:"dongle" in
+  let alien = Secpol.Attack.Attacker.alien car ~segment:V.Segment_map.seg_bus
+      ~name:"dongle" in
   (* it impersonates the sensor cluster and floods telemetry *)
   for _ = 1 to 150 do
     ignore
@@ -54,11 +60,13 @@ let () =
          ~payload:"\x00\x00")
   done;
   ignore (Secpol.Attack.Primitives.spoof alien ~msg_id:0x7C0 ~payload:"\xAA");
-  Car.run car ~seconds:1.0;
+  Tcar.run car ~seconds:1.0;
   scan_and_report ids "after the alien joined";
 
   banner "forensics: candump evidence (last lines)";
-  let log = Can.Candump.export (Car.trace car) in
+  let log =
+    Can.Candump.export (Can.Bus.trace (Tcar.bus car V.Segment_map.seg_bus))
+  in
   let lines = String.split_on_char '\n' log in
   let n = List.length lines in
   List.iteri

@@ -1,4 +1,4 @@
-module Car = Secpol_vehicle.Car
+module Tcar = Secpol_vehicle.Topology_car
 module Node = Secpol_can.Node
 module Controller = Secpol_can.Controller
 module Frame = Secpol_can.Frame
@@ -14,15 +14,15 @@ let hook_capture t =
       t.captured <- frame :: t.captured)
 
 let compromise car name =
-  let node = Car.node car name in
+  let node = Tcar.node car name in
   (* Malicious firmware clears its own software filter bank. *)
   Controller.set_filters (Node.controller node) [];
-  let t = { node; hpe = Car.hpe car name; captured = [] } in
+  let t = { node; hpe = Tcar.hpe car name; captured = [] } in
   hook_capture t;
   t
 
-let alien car ~name =
-  let node = Node.create ~filters:[] ~name car.Car.bus in
+let alien car ~segment ~name =
+  let node = Node.create ~filters:[] ~name (Tcar.bus car segment) in
   let t = { node; hpe = None; captured = [] } in
   hook_capture t;
   t

@@ -6,18 +6,20 @@
       arbitrary frames through its own controller — but it cannot remove
       the HPE gates, and a locked HPE register file refuses
       reconfiguration.
-    - {!alien}: introduce a foreign station on the bus.  It has full
+    - {!alien}: introduce a foreign station on a bus.  It has full
       control of its own (HPE-less) hardware, but victim-side read gates
       still apply to what it injects. *)
 
 type t
 
-val compromise : Secpol_vehicle.Car.t -> string -> t
+val compromise : Secpol_vehicle.Topology_car.t -> string -> t
 (** Compromise the named node's firmware: acceptance filters cleared,
     transmit path under attacker control. *)
 
-val alien : Secpol_vehicle.Car.t -> name:string -> t
-(** Attach a new malicious station. *)
+val alien :
+  Secpol_vehicle.Topology_car.t -> segment:string -> name:string -> t
+(** Attach a new malicious station to the named segment's bus.
+    @raise Invalid_argument on unknown segment names. *)
 
 val node_name : t -> string
 

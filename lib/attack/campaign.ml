@@ -1,32 +1,25 @@
 module V = Secpol_vehicle
-module Car = V.Car
+module Tcar = V.Topology_car
 module Messages = V.Messages
 module Names = V.Names
 module Trace = Secpol_can.Trace
 module Rng = Secpol_sim.Rng
 
-type level = Off | Software | Hardware
-
 let level_name = function
-  | Off -> "no enforcement"
-  | Software -> "software filters"
-  | Hardware -> "hardware policy engine"
-
-let enforcement_of = function
-  | Off -> Car.No_enforcement
-  | Software -> Car.Software_filters
-  | Hardware -> Car.Hpe (V.Policy_map.baseline ())
+  | `Unfiltered -> "no enforcement"
+  | `Central -> "software filters"
+  | `Distributed -> "hardware policy engine"
 
 type summary = {
-  level : level;
+  placement : Tcar.placement;
   outcomes : Scenarios.outcome list;
   succeeded : int;
   residual_succeeded : int;
   clean_succeeded : int;
 }
 
-let run_level ?seed level =
-  let outcomes = Scenarios.run_all ?seed ~enforcement:(enforcement_of level) () in
+let run_level ?seed placement =
+  let outcomes = Scenarios.run_all ?seed ~placement () in
   let succeeded =
     List.length (List.filter (fun (o : Scenarios.outcome) -> o.succeeded) outcomes)
   in
@@ -36,14 +29,15 @@ let run_level ?seed level =
          (fun (o : Scenarios.outcome) -> o.succeeded && o.expected_residual)
          outcomes)
   in
-  { level; outcomes; succeeded; residual_succeeded;
+  { placement; outcomes; succeeded; residual_succeeded;
     clean_succeeded = succeeded - residual_succeeded }
 
-let table ?seed () = List.map (run_level ?seed) [ Off; Software; Hardware ]
+let table ?seed () =
+  List.map (run_level ?seed) [ `Unfiltered; `Central; `Distributed ]
 
 let matches_paper summaries =
-  let find l = List.find_opt (fun s -> s.level = l) summaries in
-  match (find Off, find Hardware) with
+  let find p = List.find_opt (fun s -> s.placement = p) summaries in
+  match (find `Unfiltered, find `Distributed) with
   | Some off, Some hw ->
       let total = List.length off.outcomes in
       let residual_total =
@@ -70,12 +64,12 @@ let command_ids =
 
 type sweep_point = { compromised : int; attack_frames : int; delivered : int }
 
-let firmware_sweep ?(seed = 42L) ?(frames_per_node = 20) level
+let firmware_sweep ?(seed = 42L) ?(frames_per_node = 20) placement
     ~compromised_counts =
   List.map
     (fun k ->
-      let car = Car.create ~seed ~enforcement:(enforcement_of level) () in
-      Car.run car ~seconds:0.2;
+      let car = Scenarios.car ~seed placement in
+      Tcar.run car ~seconds:0.2;
       let rng = Rng.create (Int64.add seed (Int64.of_int k)) in
       let order = Array.of_list Names.nodes in
       Rng.shuffle rng order;
@@ -101,9 +95,11 @@ let firmware_sweep ?(seed = 42L) ?(frames_per_node = 20) level
                  ~payload:(String.make 1 Messages.cmd_disable))
           done)
         attackers;
-      Car.run car ~seconds:1.0;
+      Tcar.run car ~seconds:1.0;
       let delivered =
-        Trace.count (Car.trace car) (fun e ->
+        Trace.count
+          (Secpol_can.Bus.trace (Tcar.bus car V.Segment_map.seg_bus))
+          (fun e ->
             match e.Trace.event with
             | Trace.Rx_delivered _ ->
                 List.mem e.Trace.node chosen
@@ -128,7 +124,8 @@ type benign_stats = {
 }
 
 let designed_deliveries car =
-  Trace.count (Car.trace car) (fun e ->
+  Trace.count (Secpol_can.Bus.trace (Tcar.bus car V.Segment_map.seg_bus))
+    (fun e ->
       match e.Trace.event with
       | Trace.Rx_delivered receiver -> (
           match e.Trace.frame.Secpol_can.Frame.id with
@@ -139,23 +136,23 @@ let designed_deliveries car =
           | Secpol_can.Identifier.Extended _ -> false)
       | _ -> false)
 
-let benign_run ?(seed = 42L) ?(seconds = 5.0) level =
-  let run lvl =
-    let car = Car.create ~seed ~enforcement:(enforcement_of lvl) () in
-    Car.run car ~seconds;
+let benign_run ?(seed = 42L) ?(seconds = 5.0) placement =
+  let run p =
+    let car = Scenarios.car ~seed p in
+    Tcar.run car ~seconds;
     car
   in
-  let baseline = designed_deliveries (run Off) in
-  let car = run level in
+  let baseline = designed_deliveries (run `Unfiltered) in
+  let car = run placement in
   let deliveries = designed_deliveries car in
   {
     seconds;
     deliveries;
-    hpe_blocks = Car.false_hpe_blocks car;
+    hpe_blocks = Tcar.false_blocks_in car V.Segment_map.seg_bus;
     undelivered = max 0 (baseline - deliveries);
   }
 
 let pp_summary ppf s =
   Format.fprintf ppf "%-24s %2d/%d attacks succeed (%d residual, %d clean)"
-    (level_name s.level) s.succeeded (List.length s.outcomes)
+    (level_name s.placement) s.succeeded (List.length s.outcomes)
     s.residual_succeeded s.clean_succeeded

@@ -1,5 +1,5 @@
 module V = Secpol_vehicle
-module Car = V.Car
+module Tcar = V.Topology_car
 module State = V.State
 module Messages = V.Messages
 module Names = V.Names
@@ -20,7 +20,7 @@ type t = {
   threat_id : string;
   description : string;
   platform : string;
-  execute : seed:int64 -> Car.enforcement -> bool * string;
+  execute : seed:int64 -> Tcar.placement -> bool * string;
       (** (succeeded, detail) *)
 }
 
@@ -33,9 +33,14 @@ let residual_of_catalog id =
   | Some row -> Secpol_threat.Threat.residual_risk row.threat
   | None -> false
 
-let warmup car = Car.run car ~seconds:0.3
+let car ?driving ~seed placement =
+  Tcar.create ~seed ~placement ?driving
+    ~spec:(V.Segment_map.single_bus_spec ())
+    ()
 
-let settle car = Car.run car ~seconds:0.3
+let warmup car = Tcar.run car ~seconds:0.3
+
+let settle car = Tcar.run car ~seconds:0.3
 
 let one cmd = String.make 1 cmd
 
@@ -49,8 +54,8 @@ let simple ~threat_id ~description ~platform ~msg_id ~payload ~success =
     description;
     platform;
     execute =
-      (fun ~seed enforcement ->
-        let car = Car.create ~seed ~enforcement () in
+      (fun ~seed placement ->
+        let car = car ~seed placement in
         warmup car;
         let atk = Attacker.compromise car platform in
         let accepted = spoof atk msg_id payload in
@@ -71,7 +76,7 @@ let scenarios =
          door-lock/alarm path would send it) while driving."
       ~platform:Names.infotainment ~msg_id:Messages.ecu_command
       ~payload:(one Messages.cmd_disable)
-      ~success:(fun car -> not car.Car.state.State.ev_ecu_enabled);
+      ~success:(fun car -> not (Tcar.state car).State.ev_ecu_enabled);
     (* 2: spoofed sensor data triggers the ECU's emergency reaction. *)
     simple ~threat_id:Catalog.ev_ecu_spoof_disable_sensors
       ~description:
@@ -79,7 +84,7 @@ let scenarios =
          ECU performs an emergency stop."
       ~platform:Names.telematics ~msg_id:Messages.obstacle_warning
       ~payload:"\001"
-      ~success:(fun car -> car.Car.state.State.speed_kmh = 0.0);
+      ~success:(fun car -> (Tcar.state car).State.speed_kmh = 0.0);
     (* 3: thief silences the tracking uplink from the telematics itself. *)
     {
       threat_id = Catalog.ev_ecu_tracking_disable;
@@ -89,15 +94,15 @@ let scenarios =
          leaves this residual (the unit legitimately owns its radio).";
       platform = Names.telematics;
       execute =
-        (fun ~seed enforcement ->
-          let car = Car.create ~seed ~enforcement ~driving:false () in
+        (fun ~seed placement ->
+          let car = car ~seed placement ~driving:false in
           warmup car;
           let _atk = Attacker.compromise car Names.telematics in
           (* firmware-level action on the unit itself; no bus frame *)
-          car.Car.state.State.modem_enabled <- false;
-          car.Car.state.State.tracking_enabled <- false;
+          (Tcar.state car).State.modem_enabled <- false;
+          (Tcar.state car).State.tracking_enabled <- false;
           settle car;
-          ( (not car.Car.state.State.tracking_enabled),
+          ( (not (Tcar.state car).State.tracking_enabled),
             "firmware action on the compromised unit; no CAN frame to filter"
           ));
     };
@@ -109,17 +114,17 @@ let scenarios =
          enable command from the compromised telematics unit.";
       platform = Names.telematics;
       execute =
-        (fun ~seed enforcement ->
-          let car = Car.create ~seed ~enforcement ~driving:false () in
-          car.Car.state.State.ev_ecu_enabled <- false;
-          Car.set_mode car Modes.Fail_safe;
+        (fun ~seed placement ->
+          let car = car ~seed placement ~driving:false in
+          (Tcar.state car).State.ev_ecu_enabled <- false;
+          Tcar.set_mode car Modes.Fail_safe;
           warmup car;
           let atk = Attacker.compromise car Names.telematics in
           let accepted =
             spoof atk Messages.ecu_command (one Messages.cmd_enable)
           in
           settle car;
-          ( car.Car.state.State.ev_ecu_enabled,
+          ( (Tcar.state car).State.ev_ecu_enabled,
             if accepted then "enable command reached the bus"
             else "enable command refused at the attacker's node" ));
     };
@@ -130,7 +135,7 @@ let scenarios =
          steering-assist shutdown."
       ~platform:Names.infotainment ~msg_id:Messages.eps_command
       ~payload:(one Messages.cmd_disable)
-      ~success:(fun car -> not car.Car.state.State.eps_active);
+      ~success:(fun car -> not (Tcar.state car).State.eps_active);
     (* 6: engine shutdown from the compromised sensor cluster. *)
     simple ~threat_id:Catalog.engine_sensor_deactivation
       ~description:
@@ -138,7 +143,7 @@ let scenarios =
          never designed to produce."
       ~platform:Names.sensors ~msg_id:Messages.engine_command
       ~payload:(one Messages.cmd_disable)
-      ~success:(fun car -> not car.Car.state.State.engine_running);
+      ~success:(fun car -> not (Tcar.state car).State.engine_running);
     (* 7: telematics reconfigured from the drivetrain side. *)
     simple ~threat_id:Catalog.connectivity_component_modification
       ~description:
@@ -146,7 +151,7 @@ let scenarios =
          shuts down) the telematics modem during operation."
       ~platform:Names.sensors ~msg_id:Messages.modem_command
       ~payload:(one Messages.cmd_disable)
-      ~success:(fun car -> not car.Car.state.State.modem_enabled);
+      ~success:(fun car -> not (Tcar.state car).State.modem_enabled);
     (* 8: privacy attack via modified radio firmware. *)
     simple ~threat_id:Catalog.connectivity_firmware_privacy
       ~description:
@@ -154,7 +159,7 @@ let scenarios =
          (modelled as an unauthorised modem reconfiguration command)."
       ~platform:Names.infotainment ~msg_id:Messages.modem_command
       ~payload:(one Messages.cmd_disable)
-      ~success:(fun car -> not car.Car.state.State.modem_enabled);
+      ~success:(fun car -> not (Tcar.state car).State.modem_enabled);
     (* 9: fail-safe comms silenced through the emergency path (residual). *)
     {
       threat_id = Catalog.connectivity_modem_disable_emergency;
@@ -164,13 +169,13 @@ let scenarios =
          RW policy row cannot block a legitimate writer.";
       platform = Names.safety;
       execute =
-        (fun ~seed enforcement ->
-          let car = Car.create ~seed ~enforcement () in
+        (fun ~seed placement ->
+          let car = car ~seed placement in
           warmup car;
           let atk = Attacker.compromise car Names.safety in
           let _ = spoof atk Messages.modem_command (one Messages.cmd_disable) in
           settle car;
-          ( (not car.Car.state.State.modem_enabled),
+          ( (not (Tcar.state car).State.modem_enabled),
             "modem state after the forged shutdown" ));
     };
     (* 10: the same attack via the sensor/airbag path (non-producer). *)
@@ -180,7 +185,7 @@ let scenarios =
          the crash-signalling path."
       ~platform:Names.sensors ~msg_id:Messages.modem_command
       ~payload:(one Messages.cmd_disable)
-      ~success:(fun car -> not car.Car.state.State.modem_enabled);
+      ~success:(fun car -> not (Tcar.state car).State.modem_enabled);
     (* 11: browser exploit escalation chain (software + bus). *)
     {
       threat_id = Catalog.infotainment_browser_escalation;
@@ -191,17 +196,17 @@ let scenarios =
          the transition; the HPE breaks it at the bus.";
       platform = Names.infotainment;
       execute =
-        (fun ~seed enforcement ->
-          let car = Car.create ~seed ~enforcement () in
+        (fun ~seed placement ->
+          let car = car ~seed placement in
           warmup car;
           let hardened =
-            match enforcement with
-            | Car.Software_filters -> true
-            | Car.No_enforcement | Car.Hpe _ -> false
+            match placement with
+            | `Central -> true
+            | `Unfiltered | `Distributed -> false
           in
           let os =
-            V.Infotainment_os.create_exn ~hardened car.Car.state
-              (Car.node car Names.infotainment)
+            V.Infotainment_os.create_exn ~hardened (Tcar.state car)
+              (Tcar.node car Names.infotainment)
           in
           let detail, escalated =
             match V.Infotainment_os.exploit_browser os with
@@ -219,10 +224,10 @@ let scenarios =
               in
               let _sent = V.Infotainment_os.send_can os ~as_:ctx frame in
               settle car;
-              ( installed && not car.Car.state.State.ev_ecu_enabled,
+              ( installed && not (Tcar.state car).State.ev_ecu_enabled,
                 detail ^ "; final CAN write "
                 ^
-                if not car.Car.state.State.ev_ecu_enabled then "landed"
+                if not (Tcar.state car).State.ev_ecu_enabled then "landed"
                 else "did not take effect" ));
     };
     (* 12: forged status values on the driver display. *)
@@ -233,14 +238,14 @@ let scenarios =
          shows 200 km/h while the car does 50.";
       platform = Names.telematics;
       execute =
-        (fun ~seed enforcement ->
-          let car = Car.create ~seed ~enforcement () in
+        (fun ~seed placement ->
+          let car = car ~seed placement in
           warmup car;
           let atk = Attacker.compromise car Names.telematics in
           let _ = spoof atk Messages.accel_status "\200\000" in
-          Car.run car ~seconds:0.005;
+          Tcar.run car ~seconds:0.005;
           let displayed =
-            V.Infotainment.displayed_speed (Car.node car Names.infotainment)
+            V.Infotainment.displayed_speed (Tcar.node car Names.infotainment)
           in
           ( displayed = Some 200.0,
             match displayed with
@@ -253,7 +258,7 @@ let scenarios =
         "Compromised infotainment replays the unlock command at speed."
       ~platform:Names.infotainment ~msg_id:Messages.lock_command
       ~payload:(one Messages.cmd_unlock)
-      ~success:(fun car -> not car.Car.state.State.doors_locked);
+      ~success:(fun car -> not (Tcar.state car).State.doors_locked);
     (* 14: doors relocked during an accident (residual). *)
     {
       threat_id = Catalog.door_lock_in_accident;
@@ -263,17 +268,17 @@ let scenarios =
          occupants.  The W policy row cannot block a legitimate writer.";
       platform = Names.telematics;
       execute =
-        (fun ~seed enforcement ->
-          let car = Car.create ~seed ~enforcement () in
+        (fun ~seed placement ->
+          let car = car ~seed placement in
           warmup car;
-          V.Safety.trigger_crash (Car.node car Names.safety) car.Car.state;
-          Car.run car ~seconds:0.1;
+          V.Safety.trigger_crash (Tcar.node car Names.safety) (Tcar.state car);
+          Tcar.run car ~seconds:0.1;
           let atk = Attacker.compromise car Names.telematics in
           let _ = spoof atk Messages.lock_command (one Messages.cmd_lock) in
           settle car;
-          ( car.Car.state.State.doors_locked,
+          ( (Tcar.state car).State.doors_locked,
             Printf.sprintf "doors %s after the crash"
-              (if car.Car.state.State.doors_locked then "relocked" else "open")
+              (if (Tcar.state car).State.doors_locked then "relocked" else "open")
           ));
     };
     (* 15: false fail-safe triggering via forged crash telemetry. *)
@@ -283,7 +288,7 @@ let scenarios =
          the safety controller enters fail-safe and unlocks the car."
       ~platform:Names.infotainment ~msg_id:Messages.brake_status
       ~payload:(String.make 1 V.Sensors.crash_signal)
-      ~success:(fun car -> car.Car.state.State.failsafe_latched);
+      ~success:(fun car -> (Tcar.state car).State.failsafe_latched);
     (* 16: alarm and locking defeated from the lock controller (residual). *)
     {
       threat_id = Catalog.safety_alarm_disable;
@@ -293,18 +298,18 @@ let scenarios =
          immobiliser writer — lifts the propulsion cut.";
       platform = Names.door_locks;
       execute =
-        (fun ~seed enforcement ->
-          let car = Car.create ~seed ~enforcement ~driving:false () in
-          car.Car.state.State.doors_locked <- true;
-          V.Safety.arm_alarm (Car.node car Names.safety) car.Car.state;
+        (fun ~seed placement ->
+          let car = car ~seed placement ~driving:false in
+          (Tcar.state car).State.doors_locked <- true;
+          V.Safety.arm_alarm (Tcar.node car Names.safety) (Tcar.state car);
           warmup car;
           let atk = Attacker.compromise car Names.door_locks in
           (* actuators are under the compromised firmware's direct control *)
-          car.Car.state.State.doors_locked <- false;
+          (Tcar.state car).State.doors_locked <- false;
           let _ = spoof atk Messages.ecu_command (one Messages.cmd_enable) in
           settle car;
-          ( car.Car.state.State.ev_ecu_enabled
-            && not car.Car.state.State.doors_locked,
+          ( (Tcar.state car).State.ev_ecu_enabled
+            && not (Tcar.state car).State.doors_locked,
             "doors opened locally; immobiliser state via forged enable" ));
     };
   ]
@@ -313,8 +318,8 @@ let all = scenarios
 
 let find id = List.find_opt (fun s -> s.threat_id = id) scenarios
 
-let run ?(seed = 42L) ~enforcement t =
-  let succeeded, detail = t.execute ~seed enforcement in
+let run ?(seed = 42L) ~placement t =
+  let succeeded, detail = t.execute ~seed placement in
   {
     threat_id = t.threat_id;
     platform = t.platform;
@@ -323,8 +328,8 @@ let run ?(seed = 42L) ~enforcement t =
     detail;
   }
 
-let run_all ?seed ~enforcement () =
-  List.map (fun s -> run ?seed ~enforcement s) scenarios
+let run_all ?seed ~placement () =
+  List.map (fun s -> run ?seed ~placement s) scenarios
 
 let pp_outcome ppf (o : outcome) =
   Format.fprintf ppf "%-40s via %-12s %s%s" o.threat_id o.platform

@@ -1,6 +1,8 @@
 (** The sixteen Table-I threats as executable attack scenarios.
 
-    Each scenario builds a car under the requested enforcement, establishes
+    Each scenario builds the single-bus car
+    ({!Secpol_vehicle.Segment_map.single_bus_spec}) under the requested
+    enforcement placement, establishes
     the row's preconditions (driving / parked / crashed / immobilised),
     mounts the attack from a concrete platform, and evaluates success
     against the vehicle state.
@@ -22,6 +24,14 @@ type outcome = {
 
 type t
 
+val car :
+  ?driving:bool ->
+  seed:int64 ->
+  Secpol_vehicle.Topology_car.placement ->
+  Secpol_vehicle.Topology_car.t
+(** The car every scenario attacks: the paper's Fig. 2 car, all eight ECUs
+    on one bus, at the given placement. *)
+
 val all : t list
 (** One scenario per Table-I row, in table order. *)
 
@@ -33,12 +43,12 @@ val threat_id : t -> string
 val description : t -> string
 
 val run :
-  ?seed:int64 -> enforcement:Secpol_vehicle.Car.enforcement -> t -> outcome
+  ?seed:int64 -> placement:Secpol_vehicle.Topology_car.placement -> t -> outcome
 (** Execute the scenario from scratch. *)
 
 val run_all :
   ?seed:int64 ->
-  enforcement:Secpol_vehicle.Car.enforcement ->
+  placement:Secpol_vehicle.Topology_car.placement ->
   unit ->
   outcome list
 

@@ -1,5 +1,5 @@
-module Car = Secpol_vehicle.Car
-module Policy_map = Secpol_vehicle.Policy_map
+module Tcar = Secpol_vehicle.Topology_car
+module Segment_map = Secpol_vehicle.Segment_map
 
 type outcome = {
   harness : Harness.t;
@@ -11,12 +11,8 @@ type outcome = {
 let run ?(watchdog_period = 0.01) ?(watchdog_deadline = 0.05) ?(slice = 0.05)
     ~seed ~plan () =
   if slice <= 0.0 then invalid_arg "Chaos.run: slice must be positive";
-  (* both cars get the same enforcement and seed: the reference run is the
-     faulted run minus the plan, so end-state comparison is meaningful *)
-  let enforcement () = Car.Hpe (Policy_map.baseline ()) in
   let harness =
-    Harness.create ~watchdog_period ~watchdog_deadline
-      ~enforcement:(enforcement ()) ~seed ~plan ()
+    Harness.create ~watchdog_period ~watchdog_deadline ~seed ~plan ()
   in
   let checker = Invariant.create harness in
   let horizon = plan.Plan.horizon in
@@ -29,8 +25,14 @@ let run ?(watchdog_period = 0.01) ?(watchdog_deadline = 0.05) ?(slice = 0.05)
   in
   step slice;
   Harness.run_until harness horizon;
-  let reference = Car.create ~seed ~enforcement:(enforcement ()) () in
-  Car.run reference ~seconds:horizon;
+  (* same car and seed: the reference run is the faulted run minus the
+     plan, so end-state comparison is meaningful *)
+  let reference =
+    Tcar.create ~seed ~placement:`Distributed
+      ~spec:(Segment_map.single_bus_spec ())
+      ()
+  in
+  Tcar.run reference ~seconds:horizon;
   Invariant.finalize checker ~reference;
   let report = Report.build ~seed ~harness ~checker in
   { harness; checker; report; passed = Invariant.ok checker }

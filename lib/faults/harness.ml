@@ -2,8 +2,8 @@ module Engine = Secpol_sim.Engine
 module Can = Secpol_can
 module Hpe = Secpol_hpe
 module Policy = Secpol_policy
-module Car = Secpol_vehicle.Car
-module State = Secpol_vehicle.State
+module Tcar = Secpol_vehicle.Topology_car
+module Segment_map = Secpol_vehicle.Segment_map
 module Modes = Secpol_vehicle.Modes
 module Names = Secpol_vehicle.Names
 module Policy_map = Secpol_vehicle.Policy_map
@@ -15,7 +15,7 @@ type record = {
 }
 
 type t = {
-  car : Car.t;
+  car : Tcar.t;
   obs : Secpol_obs.Registry.t;
   clock : Clock.t;
   watchdog : Watchdog.t;
@@ -33,18 +33,18 @@ type t = {
   mutable babblers : int;
 }
 
-let sim t = t.car.Car.sim
+let sim t = Tcar.sim t.car
 
 (* The watchdog's ping is a real decision request, not a health flag: a
    stalled engine raises [Unavailable] on [decide], which is exactly what
    a deployed monitor would observe. *)
 let ping car () =
-  match car.Car.policy_engine with
+  match Tcar.policy_engine car with
   | None -> true
   | Some engine -> (
       let probe =
         {
-          Policy.Ir.mode = Modes.name car.Car.state.State.mode;
+          Policy.Ir.mode = Modes.name (Tcar.mode car);
           subject = Names.asset_of_node Names.safety;
           asset = Names.asset_safety_critical;
           op = Policy.Ir.Read;
@@ -52,7 +52,7 @@ let ping car () =
         }
       in
       match
-        Policy.Engine.decide ~now:(Engine.now car.Car.sim) engine probe
+        Policy.Engine.decide ~now:(Engine.now (Tcar.sim car)) engine probe
       with
       | _ -> true
       | exception Policy.Engine.Unavailable -> false)
@@ -61,8 +61,8 @@ let note_mode t mode =
   t.mode_changes <- (Engine.now (sim t), mode) :: t.mode_changes
 
 let degrade t () =
-  if Car.mode t.car <> Modes.Fail_safe then begin
-    Car.enter_fail_safe t.car ~reason:"policy watchdog expired";
+  if Tcar.mode t.car <> Modes.Fail_safe then begin
+    Tcar.enter_fail_safe t.car ~reason:"policy watchdog expired";
     let now = Engine.now (sim t) in
     if t.failsafe_entered = None then t.failsafe_entered <- Some now;
     note_mode t Modes.Fail_safe
@@ -71,10 +71,10 @@ let degrade t () =
 (* ---------- injection ---------- *)
 
 let scrub_hpe t node =
-  match Car.hpe t.car node with
+  match Tcar.hpe t.car node with
   | None -> ()
   | Some hpe -> (
-      let key = (Car.mode t.car, node) in
+      let key = (Tcar.mode t.car, node) in
       match List.assoc_opt key t.configs with
       | None -> ()
       | Some config ->
@@ -93,13 +93,15 @@ let inject t r =
   in
   match r.entry.Plan.kind with
   | Fault.Node_crash { node; down_for = _ } ->
-      let n = Car.node t.car node in
+      let n = Tcar.node t.car node in
       Can.Node.crash n;
       clear (fun () -> Can.Node.restart n)
   | Fault.Babbling_idiot { msg_id; period; duration } ->
       t.babblers <- t.babblers + 1;
       let name = Printf.sprintf "babbler%d" t.babblers in
-      let rogue = Can.Node.create ~name t.car.Car.bus in
+      let rogue =
+        Can.Node.create ~name (Tcar.bus t.car Segment_map.seg_bus)
+      in
       let jam _ =
         ignore (Can.Node.send rogue (Can.Frame.data_std msg_id "\255"))
       in
@@ -107,11 +109,11 @@ let inject t r =
       Engine.every engine ~period ~until:(now +. duration) jam;
       clear (fun () -> Can.Node.detach rogue)
   | Fault.Corruption_burst { prob; duration = _ } ->
-      Can.Bus.set_corrupt_prob t.car.Car.bus prob;
-      clear (fun () ->
-          Can.Bus.set_corrupt_prob t.car.Car.bus t.base_corrupt_prob)
+      let bus = Tcar.bus t.car Segment_map.seg_bus in
+      Can.Bus.set_corrupt_prob bus prob;
+      clear (fun () -> Can.Bus.set_corrupt_prob bus t.base_corrupt_prob)
   | Fault.Bus_partition { nodes; heal_after = _ } ->
-      let stations = List.map (Car.node t.car) nodes in
+      let stations = List.map (Tcar.node t.car) nodes in
       List.iter
         (fun n ->
           (* cut off, not power-cycled: error counters survive healing *)
@@ -125,7 +127,7 @@ let inject t r =
               Can.Node.reattach n)
             stations)
   | Fault.Hpe_corruption { node; scrub_after = _ } ->
-      (match Car.hpe t.car node with
+      (match Tcar.hpe t.car node with
       | None -> ()
       | Some hpe ->
           (* a bit flip lands straight in approved-list RAM, bypassing the
@@ -136,13 +138,13 @@ let inject t r =
             (Can.Identifier.standard 0x7DF));
       clear (fun () -> scrub_hpe t node)
   | Fault.Policy_stall { down_for = _ } ->
-      (match t.car.Car.policy_engine with
+      (match Tcar.policy_engine t.car with
       | None -> ()
       | Some pe ->
           Policy.Engine.set_stalled pe true;
           if t.stall_started = None then t.stall_started <- Some now);
       clear (fun () ->
-          match t.car.Car.policy_engine with
+          match Tcar.policy_engine t.car with
           | None -> ()
           | Some pe ->
               Policy.Engine.set_stalled pe false;
@@ -161,8 +163,8 @@ let inject t r =
 
 (* ---------- construction ---------- *)
 
-let create ?(watchdog_period = 0.01) ?(watchdog_deadline = 0.05)
-    ?(enforcement = Car.Hpe (Policy_map.baseline ())) ~seed ~plan () =
+let create ?(watchdog_period = 0.01) ?(watchdog_deadline = 0.05) ~seed ~plan
+    () =
   (match Plan.validate plan with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Harness.create: " ^ msg));
@@ -170,9 +172,13 @@ let create ?(watchdog_period = 0.01) ?(watchdog_deadline = 0.05)
     invalid_arg
       "Harness.create: segment-scoped plan needs a topology car (Faults.Blast)";
   let obs = Secpol_obs.Registry.create () in
-  let car = Car.create ~seed ~enforcement ~obs () in
+  let car =
+    Tcar.create ~seed ~placement:`Distributed ~obs
+      ~spec:(Segment_map.single_bus_spec ())
+      ()
+  in
   let configs =
-    match car.Car.policy_engine with
+    match Tcar.policy_engine car with
     | None -> []
     | Some engine ->
         List.concat_map
@@ -183,7 +189,7 @@ let create ?(watchdog_period = 0.01) ?(watchdog_deadline = 0.05)
               Names.nodes)
           Modes.all
   in
-  let clock = Clock.create car.Car.sim in
+  let clock = Clock.create (Tcar.sim car) in
   let records =
     List.map
       (fun entry -> { entry; injected_at = None; cleared_at = None })
@@ -199,12 +205,13 @@ let create ?(watchdog_period = 0.01) ?(watchdog_deadline = 0.05)
           Watchdog.create ~period:watchdog_period ~deadline:watchdog_deadline
             ~clock ~ping:(ping car)
             ~on_expire:(fun () -> degrade (Lazy.force t) ())
-            car.Car.sim;
+            (Tcar.sim car);
         plan;
         records;
         configs;
-        base_corrupt_prob = Can.Bus.corrupt_prob car.Car.bus;
-        mode_changes = [ (0.0, Car.mode car) ];
+        base_corrupt_prob =
+          Can.Bus.corrupt_prob (Tcar.bus car Segment_map.seg_bus);
+        mode_changes = [ (0.0, Tcar.mode car) ];
         stall_started = None;
         stall_cleared = None;
         failsafe_entered = None;
@@ -215,7 +222,7 @@ let create ?(watchdog_period = 0.01) ?(watchdog_deadline = 0.05)
   let t = Lazy.force t in
   List.iter
     (fun r ->
-      Engine.schedule car.Car.sim ~at:r.entry.Plan.at (fun _ -> inject t r))
+      Engine.schedule (Tcar.sim car) ~at:r.entry.Plan.at (fun _ -> inject t r))
     records;
   t
 

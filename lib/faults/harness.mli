@@ -1,11 +1,12 @@
 (** One car under one fault plan.
 
-    The harness builds a driving {!Secpol_vehicle.Car} (HPE-enforced by
-    default), arms a {!Watchdog} whose ping is a live policy decision and
-    whose expiry drives the car into fail-safe, schedules every fault in
-    the plan (and its recovery) on the simulation engine, and keeps the
-    bookkeeping — injection/clearing times, mode timeline, stall and
-    fail-safe timestamps — that {!Invariant} and {!Report} consume. *)
+    The harness builds a driving single-bus {!Secpol_vehicle.Topology_car}
+    with distributed (HPE) enforcement, arms a {!Watchdog} whose ping is a
+    live policy decision and whose expiry drives the car into fail-safe,
+    schedules every fault in the plan (and its recovery) on the simulation
+    engine, and keeps the bookkeeping — injection/clearing times, mode
+    timeline, stall and fail-safe timestamps — that {!Invariant} and
+    {!Report} consume. *)
 
 type record = {
   entry : Plan.entry;
@@ -18,16 +19,13 @@ type t
 val create :
   ?watchdog_period:float ->
   ?watchdog_deadline:float ->
-  ?enforcement:Secpol_vehicle.Car.enforcement ->
   seed:int64 ->
   plan:Plan.t ->
   unit ->
   t
-(** Watchdog defaults: 10 ms ping period, 50 ms deadline.  [enforcement]
-    defaults to [Hpe (Policy_map.baseline ())] — the degradation story is
-    about the hardware engines.  Per-(mode, node) HPE configs are cached
-    here, while the policy engine still answers, so scrubs and the
-    fail-safe transition never consult it live.
+(** Watchdog defaults: 10 ms ping period, 50 ms deadline.  Per-(mode,
+    node) HPE configs are cached here, while the policy engine still
+    answers, so scrubs and the fail-safe transition never consult it live.
     @raise Invalid_argument on an invalid plan. *)
 
 val run : t -> unit
@@ -37,7 +35,7 @@ val run_until : t -> float -> unit
 (** Advance to an intermediate time (the chaos runner steps in slices and
     checks invariants between them). *)
 
-val car : t -> Secpol_vehicle.Car.t
+val car : t -> Secpol_vehicle.Topology_car.t
 
 val obs : t -> Secpol_obs.Registry.t
 
@@ -74,8 +72,8 @@ val config_for :
   mode:Secpol_vehicle.Modes.t ->
   node:string ->
   Secpol_hpe.Config.t option
-(** The cached HPE config for one (mode, node); [None] without HPE
-    enforcement. *)
+(** The cached HPE config for one (mode, node); [None] for unknown
+    nodes. *)
 
 val failsafe_bound : t -> stall_at:float -> float
 (** Latest acceptable fail-safe entry for a stall injected at [stall_at]:

@@ -2,8 +2,8 @@ module Engine = Secpol_sim.Engine
 module Obs = Secpol_obs
 module Can = Secpol_can
 module Hpe = Secpol_hpe
-module Car = Secpol_vehicle.Car
 module Tcar = Secpol_vehicle.Topology_car
+module Segment_map = Secpol_vehicle.Segment_map
 module Modes = Secpol_vehicle.Modes
 module State = Secpol_vehicle.State
 
@@ -25,13 +25,13 @@ let violations t = List.rev t.violations
 let ok t = t.violations = []
 
 let fail t ~check detail =
-  let time = Engine.now (Harness.car t.harness).Car.sim in
+  let time = Engine.now (Tcar.sim (Harness.car t.harness)) in
   t.violations <- { time; check; detail } :: t.violations
 
 (* ---------- per-slice checks ---------- *)
 
 let check_counters t =
-  let bus = (Harness.car t.harness).Car.bus in
+  let bus = Tcar.bus (Harness.car t.harness) Segment_map.seg_bus in
   let sent = Can.Bus.frames_sent bus in
   let abandoned = Can.Bus.abandoned bus in
   let pending = Can.Bus.pending bus in
@@ -65,13 +65,15 @@ let approved t ~node ~time msg_id =
 
 let check_deliveries t =
   let car = Harness.car t.harness in
-  let entries = Can.Trace.entries (Car.trace car) in
+  let entries =
+    Can.Trace.entries (Can.Bus.trace (Tcar.bus car Segment_map.seg_bus))
+  in
   let fresh = List.filteri (fun i _ -> i >= t.cursor) entries in
   t.cursor <- List.length entries;
   List.iter
     (fun e ->
       match e.Can.Trace.event with
-      | Can.Trace.Rx_delivered receiver when Car.hpe car receiver <> None ->
+      | Can.Trace.Rx_delivered receiver when Tcar.hpe car receiver <> None ->
           let id = e.Can.Trace.frame.Can.Frame.id in
           let msg_id = Can.Identifier.raw id in
           if
@@ -88,7 +90,7 @@ let check_failsafe_deadline t =
   match Harness.stall_started t.harness with
   | None -> ()
   | Some stall_at -> (
-      let now = Engine.now (Harness.car t.harness).Car.sim in
+      let now = Engine.now (Tcar.sim (Harness.car t.harness)) in
       let bound = Harness.failsafe_bound t.harness ~stall_at in
       match Harness.failsafe_entered t.harness with
       | Some entered when entered <= bound -> ()
@@ -132,11 +134,11 @@ let finalize t ~reference =
   check t;
   let car = Harness.car t.harness in
   if Plan.degrading (Harness.plan t.harness) then begin
-    if Car.mode car <> Modes.Fail_safe then
+    if Tcar.mode car <> Modes.Fail_safe then
       fail t ~check:"latched"
         (Printf.sprintf "degrading plan ended in %s, not fail-safe"
-           (Modes.name (Car.mode car)));
-    if not car.Car.state.State.failsafe_latched then
+           (Modes.name (Tcar.mode car)));
+    if not (Tcar.state car).State.failsafe_latched then
       fail t ~check:"latched" "fail-safe actions were never latched";
     if Harness.failsafe_entered t.harness = None then
       fail t ~check:"latched" "harness never recorded the fail-safe entry"
@@ -150,8 +152,8 @@ let finalize t ~reference =
           fail t ~check:"convergence"
             (Printf.sprintf "%s diverged: %s (faulted) vs %s (clean)" name
                faulted clean))
-      (state_fields car.Car.state)
-      (state_fields reference.Car.state)
+      (state_fields (Tcar.state car))
+      (state_fields (Tcar.state reference))
 
 (* ---------- blast-radius invariant (topology cars) ---------- *)
 

@@ -25,7 +25,7 @@ val create : Harness.t -> t
 val check : t -> unit
 (** Examine everything since the previous call; record violations. *)
 
-val finalize : t -> reference:Secpol_vehicle.Car.t -> unit
+val finalize : t -> reference:Secpol_vehicle.Topology_car.t -> unit
 (** Run {!check} once more, then the end-of-run obligations.
     [reference] is a never-faulted car advanced to the same horizon. *)
 

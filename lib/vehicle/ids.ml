@@ -12,7 +12,8 @@ type kind =
 type incident = { time : float; kind : kind }
 
 type t = {
-  car : Car.t;
+  car : Topology_car.t;
+  trace : Trace.t;
   mutable seen_entries : int;
   mutable seen_alerts : (string * int) list;
   mutable seen_blocks : (string * int) list;
@@ -20,13 +21,27 @@ type t = {
   mutable log : incident list; (* newest first *)
 }
 
+(* The trace checks assume one broadcast bus: on a segmented car a
+   gateway re-transmits frames under its own name, which would read as an
+   unapproved source. *)
 let create car =
+  let trace =
+    match Topology_car.segments car with
+    | [ seg ] -> Secpol_can.Bus.trace (Topology_car.bus car seg)
+    | segs ->
+        invalid_arg
+          (Printf.sprintf
+             "Ids.create: needs a single-bus car, got %d segments"
+             (List.length segs))
+  in
+  let hpes = Topology_car.hpes car in
   {
     car;
+    trace;
     seen_entries = 0;
-    seen_alerts = List.map (fun (n, _) -> (n, 0)) car.Car.hpes;
-    seen_blocks = List.map (fun (n, _) -> (n, 0)) car.Car.hpes;
-    last_scan = Secpol_sim.Engine.now car.Car.sim;
+    seen_alerts = List.map (fun (n, _) -> (n, 0)) hpes;
+    seen_blocks = List.map (fun (n, _) -> (n, 0)) hpes;
+    last_scan = Secpol_sim.Engine.now (Topology_car.sim car);
     log = [];
   }
 
@@ -38,8 +53,8 @@ let dedup kinds =
 let flood_factor = 3
 
 let scan t =
-  let now = Secpol_sim.Engine.now t.car.Car.sim in
-  let entries = Trace.entries (Car.trace t.car) in
+  let now = Secpol_sim.Engine.now (Topology_car.sim t.car) in
+  let entries = Trace.entries t.trace in
   let fresh = List.filteri (fun i _ -> i >= t.seen_entries) entries in
   t.seen_entries <- List.length entries;
   let window = now -. t.last_scan in
@@ -103,7 +118,7 @@ let scan t =
         if blocks > prev_blocks then
           [ Policy_violation { node = name; blocks = blocks - prev_blocks } ]
         else [])
-      t.car.Car.hpes
+      (Topology_car.hpes t.car)
   in
   let fresh_incidents =
     List.map

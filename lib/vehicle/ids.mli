@@ -25,9 +25,13 @@ type incident = { time : float; kind : kind }
 
 type t
 
-val create : Car.t -> t
-(** Attach to a car.  Scanning is incremental: each {!scan} covers the
-    trace since the previous one. *)
+val create : Topology_car.t -> t
+(** Attach to a single-bus car (spec {!Segment_map.single_bus_spec}).
+    Scanning is incremental: each {!scan} covers the trace since the
+    previous one.
+    @raise Invalid_argument ["Ids.create: needs a single-bus car, got N
+    segments"] on a segmented car, where gateway re-transmissions would
+    look like unapproved sources. *)
 
 val scan : t -> incident list
 (** Analyse new activity; returns (and records) fresh incidents. *)

@@ -11,6 +11,8 @@ let seg_telematics = "telematics"
 
 let seg_comfort = "comfort"
 
+let seg_bus = "bus"
+
 let gw_powertrain = "gw_powertrain"
 
 let gw_infotainment = "gw_infotainment"
@@ -40,8 +42,12 @@ let spec () =
       ];
   }
 
-(* The historical two-bus split (powertrain vs comfort) — Segmented builds
-   on this, making the old hand-wired module a special case of the graph. *)
+(* The paper's Fig. 2 car: every ECU on one shared bus, no gateway. *)
+let single_bus_spec () =
+  { Topology.segments = [ (seg_bus, Names.nodes) ]; links = [] }
+
+(* The historical two-bus split (powertrain vs comfort) of the §V gateway
+   guideline. *)
 let two_segment_spec () =
   {
     Topology.segments =

@@ -2,9 +2,10 @@
 
     Binds the vehicle message map ({!Messages}) and the compiled policy
     ({!Policy_map}) to the generic {!Secpol_can.Topology} graph: the
-    reference four-segment layout, the historical two-segment split, and
-    the flow derivation that turns "designed producer/consumer + policy
-    says the consumer may read" into gateway routing. *)
+    reference four-segment layout, the single-bus car, the historical
+    two-segment split, and the flow derivation that turns "designed
+    producer/consumer + policy says the consumer may read" into gateway
+    routing. *)
 
 val seg_powertrain : string
 
@@ -17,6 +18,9 @@ val seg_telematics : string
 val seg_comfort : string
 (** Only used by the two-segment spec. *)
 
+val seg_bus : string
+(** The one segment of {!single_bus_spec}. *)
+
 val gw_powertrain : string
 
 val gw_infotainment : string
@@ -28,9 +32,15 @@ val spec : unit -> Secpol_can.Topology.spec
     (sensors, EV-ECU, engine), chassis (EPS, safety, door locks),
     infotainment and telematics each alone behind their own gateway. *)
 
+val single_bus_spec : unit -> Secpol_can.Topology.spec
+(** The paper's Fig. 2 car: one segment {!seg_bus} holding all eight
+    nodes, no links. *)
+
 val two_segment_spec : unit -> Secpol_can.Topology.spec
-(** The original powertrain/comfort split with a single gateway named
-    ["gateway"] — {!Segmented} is this spec on the topology graph. *)
+(** The §V gateway guideline's powertrain/comfort split: powertrain
+    (sensors, EV-ECU, EPS, engine, safety) and comfort (infotainment,
+    telematics, door locks) joined by a single gateway named
+    ["gateway"]. *)
 
 val segment_of_node : Secpol_can.Topology.spec -> string -> string option
 

@@ -3,9 +3,10 @@ module Bus = Secpol_can.Bus
 module Node = Secpol_can.Node
 module Topology = Secpol_can.Topology
 
-type placement = [ `Central | `Distributed ]
+type placement = [ `Unfiltered | `Central | `Distributed ]
 
 let placement_name = function
+  | `Unfiltered -> "unfiltered"
   | `Central -> "central"
   | `Distributed -> "distributed"
 
@@ -23,7 +24,8 @@ type t = {
   hpes : (string * Secpol_hpe.Engine.t) list;
   policy_engine : Secpol_policy.Engine.t option;
   (* fail-safe HPE configs computed at build time: entering Fail_safe must
-     not depend on the policy engine still answering (see Car) *)
+     not depend on the policy engine still answering — the degradation
+     path is exactly for when it does not *)
   failsafe_configs : (string * Secpol_hpe.Config.t) list;
 }
 
@@ -51,9 +53,9 @@ let provision_hpes hpes policy_engine mode =
             (Printf.sprintf "Topology_car: HPE provisioning %s: %s" name e))
     hpes
 
-let create ?(seed = 42L) ?(bitrate = 500_000.0) ?(driving = true)
-    ?(placement = `Distributed) ?policy ?spec ?obs ?max_in_flight
-    ?retry_backoff ?max_retries ?forward_timeout () =
+let create ?(seed = 42L) ?(bitrate = 500_000.0) ?corrupt_prob
+    ?(driving = true) ?(placement = `Distributed) ?policy ?spec ?obs
+    ?max_in_flight ?retry_backoff ?max_retries ?forward_timeout () =
   let policy =
     match policy with Some p -> p | None -> Policy_map.baseline ()
   in
@@ -61,10 +63,16 @@ let create ?(seed = 42L) ?(bitrate = 500_000.0) ?(driving = true)
   let sim = Engine.create ~seed () in
   let flows = Segment_map.flows ~policy ~spec () in
   let topo =
-    Topology.create ~bitrate ?max_in_flight ?retry_backoff ?max_retries
-      ?forward_timeout sim spec ~flows
+    Topology.create ~bitrate ?corrupt_prob ?max_in_flight ?retry_backoff
+      ?max_retries ?forward_timeout sim spec ~flows
   in
-  Option.iter (fun reg -> Topology.attach_obs topo reg) obs;
+  Option.iter
+    (fun reg ->
+      match Topology.segments topo with
+      (* the single-bus car keeps the flat bus's [can.bus.*] names *)
+      | [ seg ] -> Bus.attach_obs (Topology.bus topo seg) reg
+      | _ -> Topology.attach_obs topo reg)
+    obs;
   let state = if driving then State.driving () else State.create () in
   let nodes =
     List.map
@@ -76,14 +84,21 @@ let create ?(seed = 42L) ?(bitrate = 500_000.0) ?(driving = true)
               (Printf.sprintf "Topology_car: node %S is in no segment" name))
       builders
   in
-  (* Central placement is the DiSPEL comparison point: enforcement lives
+  (* Unfiltered is a device shipped with no security mechanism: the ECUs'
+     acceptance filters are cleared, only gateway whitelists remain.
+     Central placement is the DiSPEL comparison point: enforcement lives
      only in the gateways' policy-derived whitelists (plus the ECUs' stock
      acceptance filters); distributed adds a per-node HPE bank on every
      segment, so a forged-but-legitimately-crossing ID is stopped at its
      source instead of being forwarded. *)
+  if placement = `Unfiltered then
+    List.iter
+      (fun (_, node) ->
+        Secpol_can.Controller.set_filters (Node.controller node) [])
+      nodes;
   let hpes, policy_engine, failsafe_configs =
     match placement with
-    | `Central -> ([], None, [])
+    | `Unfiltered | `Central -> ([], None, [])
     | `Distributed ->
         let engine = Policy_map.engine ?obs policy in
         let hpes =
@@ -120,7 +135,11 @@ let node t name =
 
 let nodes t = t.nodes
 
+let hpes t = t.hpes
+
 let hpe t name = List.assoc_opt name t.hpes
+
+let policy_engine t = t.policy_engine
 
 let run t ~seconds = Engine.run_until t.sim (Engine.now t.sim +. seconds)
 
@@ -172,8 +191,9 @@ let total_deliveries t =
 
 (* Enforcement blocks that hit designed traffic in one segment: write-gate
    blocks at the segment's own HPEs plus read-gate blocks of frames whose
-   receiver is a designed consumer (the same definition as
-   [Car.false_hpe_blocks], scoped to one bus). *)
+   receiver is a designed consumer.  Blocks of frames the receiver never
+   consumes are the engine correctly dropping broadcast traffic, not false
+   blocks. *)
 let false_blocks_in t seg =
   let members = Topology.members t.topo seg in
   let write_blocks =

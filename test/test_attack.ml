@@ -2,7 +2,8 @@
    the campaigns — the Q1/Q3/Q4 reproduction checks. *)
 
 module V = Secpol_vehicle
-module Car = V.Car
+module Tcar = V.Topology_car
+module Fixture = Car_fixture
 module Names = V.Names
 module Messages = V.Messages
 module Catalog = V.Threat_catalog
@@ -21,13 +22,11 @@ let quick name f = Alcotest.test_case name `Quick f
 
 let slow name f = Alcotest.test_case name `Slow f
 
-let hpe_enforcement () = Car.Hpe (V.Policy_map.baseline ())
-
 (* ---------- Attacker model ---------- *)
 
 let test_compromise_clears_filters () =
-  let car = Car.create () in
-  let node = Car.node car Names.ev_ecu in
+  let car = Fixture.single_bus () in
+  let node = Tcar.node car Names.ev_ecu in
   Alcotest.(check bool) "filters configured" true
     (Controller.filters (Node.controller node) <> []);
   let _atk = Attacker.compromise car Names.ev_ecu in
@@ -35,29 +34,29 @@ let test_compromise_clears_filters () =
     (Controller.filters (Node.controller node) = [])
 
 let test_compromised_node_spoofs () =
-  let car = Car.create () in
-  Car.run car ~seconds:0.2;
+  let car = Fixture.single_bus () in
+  Tcar.run car ~seconds:0.2;
   let atk = Attacker.compromise car Names.infotainment in
   Alcotest.(check bool) "spoof accepted locally" true
     (Attacker.spoof_command atk ~msg_id:Messages.ecu_command
        Messages.cmd_disable);
-  Car.run car ~seconds:0.2;
-  Alcotest.(check bool) "ecu disabled" false car.Car.state.V.State.ev_ecu_enabled
+  Tcar.run car ~seconds:0.2;
+  Alcotest.(check bool) "ecu disabled" false (Tcar.state car).V.State.ev_ecu_enabled
 
 let test_alien_node () =
-  let car = Car.create () in
-  Car.run car ~seconds:0.2;
-  let atk = Attacker.alien car ~name:"mallory" in
+  let car = Fixture.single_bus () in
+  Tcar.run car ~seconds:0.2;
+  let atk = Attacker.alien car ~segment:V.Segment_map.seg_bus ~name:"mallory" in
   Alcotest.(check bool) "alien transmits" true
     (Attacker.spoof_command atk ~msg_id:Messages.eps_command
        Messages.cmd_disable);
-  Car.run car ~seconds:0.2;
-  Alcotest.(check bool) "eps down" false car.Car.state.V.State.eps_active
+  Tcar.run car ~seconds:0.2;
+  Alcotest.(check bool) "eps down" false (Tcar.state car).V.State.eps_active
 
 let test_attacker_captures_and_replays () =
-  let car = Car.create () in
-  let atk = Attacker.alien car ~name:"mallory" in
-  Car.run car ~seconds:0.5;
+  let car = Fixture.single_bus () in
+  let atk = Attacker.alien car ~segment:V.Segment_map.seg_bus ~name:"mallory" in
+  Tcar.run car ~seconds:0.5;
   Alcotest.(check bool) "captured traffic" true (Attacker.captured atk <> []);
   let only_telemetry (f : Frame.t) =
     match f.id with
@@ -68,14 +67,14 @@ let test_attacker_captures_and_replays () =
   Alcotest.(check bool) "replayed" true (sent > 0)
 
 let test_reconfigure_hpe_locked () =
-  let car = Car.create ~enforcement:(hpe_enforcement ()) () in
+  let car = Fixture.single_bus ~placement:`Distributed () in
   let atk = Attacker.compromise car Names.infotainment in
   match Attacker.try_reconfigure_hpe atk with
   | Ok () -> Alcotest.fail "reconfigured a locked HPE"
   | Error _ -> ()
 
 let test_reconfigure_hpe_absent () =
-  let car = Car.create () in
+  let car = Fixture.single_bus () in
   let atk = Attacker.compromise car Names.infotainment in
   match Attacker.try_reconfigure_hpe atk with
   | Ok () -> ()
@@ -84,27 +83,27 @@ let test_reconfigure_hpe_absent () =
 (* ---------- Primitives ---------- *)
 
 let test_dos_flood () =
-  let car = Car.create () in
-  Car.run car ~seconds:0.2;
-  let atk = Attacker.alien car ~name:"mallory" in
+  let car = Fixture.single_bus () in
+  Tcar.run car ~seconds:0.2;
+  let atk = Attacker.alien car ~segment:V.Segment_map.seg_bus ~name:"mallory" in
   let sent = Primitives.dos_flood atk ~count:2000 in
   check Alcotest.int "all accepted without enforcement" 2000 sent;
-  Car.run car ~seconds:0.05;
+  Tcar.run car ~seconds:0.05;
   (* id 0x000 dominates arbitration: legitimate frames starve behind the
      flood, which is still draining *)
   Alcotest.(check bool) "flood still queued" true
-    (Secpol_can.Bus.pending car.Car.bus > 100)
+    (Secpol_can.Bus.pending (Tcar.bus car V.Segment_map.seg_bus) > 100)
 
 let test_fuzz_counts () =
-  let car = Car.create () in
-  let atk = Attacker.alien car ~name:"mallory" in
+  let car = Fixture.single_bus () in
+  let atk = Attacker.alien car ~segment:V.Segment_map.seg_bus ~name:"mallory" in
   let rng = Rng.create 1L in
   let sent = Primitives.fuzz atk rng ~count:50 in
   check Alcotest.int "all accepted" 50 sent
 
 let test_hpe_blocks_flood_at_source () =
-  let car = Car.create ~enforcement:(hpe_enforcement ()) () in
-  Car.run car ~seconds:0.2;
+  let car = Fixture.single_bus ~placement:`Distributed () in
+  Tcar.run car ~seconds:0.2;
   (* a compromised *equipped* node cannot flood: 0x000 is unapproved *)
   let atk = Attacker.compromise car Names.infotainment in
   let sent = Primitives.dos_flood atk ~count:100 in
@@ -123,14 +122,14 @@ let test_all_sixteen_present () =
     Catalog.rows
 
 let test_all_succeed_without_enforcement () =
-  let outcomes = Scenarios.run_all ~enforcement:Car.No_enforcement () in
+  let outcomes = Scenarios.run_all ~placement:`Unfiltered () in
   List.iter
     (fun (o : Scenarios.outcome) ->
       Alcotest.(check bool) (o.threat_id ^ " succeeds") true o.succeeded)
     outcomes
 
 let test_hpe_blocks_exactly_non_residual () =
-  let outcomes = Scenarios.run_all ~enforcement:(hpe_enforcement ()) () in
+  let outcomes = Scenarios.run_all ~placement:`Distributed () in
   List.iter
     (fun (o : Scenarios.outcome) ->
       Alcotest.(check bool)
@@ -141,7 +140,7 @@ let test_hpe_blocks_exactly_non_residual () =
 
 let test_software_filters_do_not_stop_spoofing () =
   (* under software filters, only the SELinux-backed browser chain fails *)
-  let outcomes = Scenarios.run_all ~enforcement:Car.Software_filters () in
+  let outcomes = Scenarios.run_all ~placement:`Central () in
   List.iter
     (fun (o : Scenarios.outcome) ->
       let expected = o.threat_id <> Catalog.infotainment_browser_escalation in
@@ -155,14 +154,16 @@ let test_campaign_matches_paper () =
   Alcotest.(check bool) "reproduction criterion" true
     (Campaign.matches_paper summaries);
   let hw =
-    List.find (fun (s : Campaign.summary) -> s.level = Campaign.Hardware) summaries
+    List.find
+      (fun (s : Campaign.summary) -> s.placement = `Distributed)
+      summaries
   in
   check Alcotest.int "hardware leaves only the residual rows" 4
     hw.Campaign.succeeded
 
 let test_firmware_sweep_software_grows () =
   let points =
-    Campaign.firmware_sweep Campaign.Software ~compromised_counts:[ 0; 2; 4; 8 ]
+    Campaign.firmware_sweep `Central ~compromised_counts:[ 0; 2; 4; 8 ]
   in
   (match points with
   | [ p0; _; _; p8 ] ->
@@ -182,7 +183,7 @@ let test_firmware_sweep_software_grows () =
 
 let test_firmware_sweep_hardware_flat () =
   let points =
-    Campaign.firmware_sweep Campaign.Hardware ~compromised_counts:[ 0; 2; 4; 8 ]
+    Campaign.firmware_sweep `Distributed ~compromised_counts:[ 0; 2; 4; 8 ]
   in
   List.iter
     (fun (p : Campaign.sweep_point) ->
@@ -194,23 +195,23 @@ let test_firmware_sweep_hardware_flat () =
 let test_spoof_detection () =
   (* an alien station impersonates the sensor cluster; the sensors' own HPE
      flags frames arriving under its exclusive IDs *)
-  let car = Car.create ~enforcement:(hpe_enforcement ()) () in
-  Car.run car ~seconds:0.5;
-  let sensors_hpe = Option.get (Car.hpe car Names.sensors) in
+  let car = Fixture.single_bus ~placement:`Distributed () in
+  Tcar.run car ~seconds:0.5;
+  let sensors_hpe = Option.get (Tcar.hpe car Names.sensors) in
   check Alcotest.int "no alerts on clean traffic" 0
     (Secpol_hpe.Engine.spoof_alerts sensors_hpe);
-  let atk = Attacker.alien car ~name:"mallory" in
+  let atk = Attacker.alien car ~segment:V.Segment_map.seg_bus ~name:"mallory" in
   for _ = 1 to 5 do
     ignore
       (Attacker.spoof_command atk ~msg_id:Messages.brake_status
          V.Sensors.crash_signal)
   done;
-  Car.run car ~seconds:0.5;
+  Tcar.run car ~seconds:0.5;
   check Alcotest.int "five impersonations flagged" 5
     (Secpol_hpe.Engine.spoof_alerts sensors_hpe)
 
 let test_benign_run_no_damage () =
-  let stats = Campaign.benign_run Campaign.Hardware in
+  let stats = Campaign.benign_run `Distributed in
   check Alcotest.int "no false blocks" 0 stats.Campaign.hpe_blocks;
   check Alcotest.int "nothing undelivered" 0 stats.Campaign.undelivered;
   Alcotest.(check bool) "traffic flowed" true (stats.Campaign.deliveries > 100)

@@ -7,7 +7,6 @@ module Threat = Secpol_threat.Threat
 module Model = Secpol_threat.Model
 module Policy = Secpol_policy
 module V = Secpol_vehicle
-module Car = V.Car
 module Catalog = V.Threat_catalog
 module Scenarios = Secpol_attack.Scenarios
 
@@ -128,14 +127,14 @@ let test_full_paper_workflow () =
   check Alcotest.int "no conflicts" 0 (List.length report.Pipeline.conflicts);
   (* 3. An unprotected fleet falls to the spoofing attack... *)
   let unprotected =
-    Scenarios.run ~enforcement:Car.No_enforcement
+    Scenarios.run ~placement:`Unfiltered
       (Option.get (Scenarios.find Catalog.ev_ecu_spoof_disable_locks))
   in
   Alcotest.(check bool) "unprotected car falls" true unprotected.Scenarios.succeeded;
   (* 4. ...while the HPE-equipped car shrugs it off. *)
   let protected_ =
     Scenarios.run
-      ~enforcement:(Car.Hpe (V.Policy_map.baseline ()))
+      ~placement:`Distributed
       (Option.get (Scenarios.find Catalog.ev_ecu_spoof_disable_locks))
   in
   Alcotest.(check bool) "protected car stands" false protected_.Scenarios.succeeded;
@@ -203,7 +202,7 @@ let test_facade_reexports () =
   let _ = Secpol.Hpe.Approved_list.create () in
   let _ = Secpol.Selinux.Access_vector.file in
   let _ = Secpol.Vehicle.Names.nodes in
-  let _ = Secpol.Attack.Campaign.Off in
+  let _ = Secpol.Attack.Campaign.level_name in
   let _ = Secpol.Lifecycle.Phases.pipeline in
   ()
 

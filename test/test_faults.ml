@@ -2,7 +2,8 @@
    reproducibility guarantees the whole evaluation relies on. *)
 
 module V = Secpol_vehicle
-module Car = V.Car
+module Tcar = V.Topology_car
+module Fixture = Car_fixture
 module State = V.State
 module Names = V.Names
 module Messages = V.Messages
@@ -29,13 +30,14 @@ let trace_fingerprint car =
     (fun (e : Trace.entry) ->
       Format.asprintf "%.9f %s %a %s" e.time e.node Secpol_can.Frame.pp e.frame
         (Trace.event_name e.event))
-    (Trace.entries (Car.trace car))
+    (Trace.entries
+       (Secpol_can.Bus.trace (Tcar.bus car V.Segment_map.seg_bus)))
 
 let test_same_seed_same_run () =
   let run () =
-    let car = Car.create ~seed:7L ~corrupt_prob:0.01 () in
-    Car.run car ~seconds:2.0;
-    (state_fingerprint car.Car.state, trace_fingerprint car)
+    let car = Fixture.single_bus ~seed:7L ~corrupt_prob:0.01 () in
+    Tcar.run car ~seconds:2.0;
+    (state_fingerprint (Tcar.state car), trace_fingerprint car)
   in
   let s1, t1 = run () in
   let s2, t2 = run () in
@@ -45,9 +47,11 @@ let test_same_seed_same_run () =
 
 let test_different_seed_different_noise () =
   let errors seed =
-    let car = Car.create ~seed ~corrupt_prob:0.05 () in
-    Car.run car ~seconds:2.0;
-    Trace.count (Car.trace car) (fun e -> e.Trace.event = Trace.Tx_error)
+    let car = Fixture.single_bus ~seed ~corrupt_prob:0.05 () in
+    Tcar.run car ~seconds:2.0;
+    Trace.count
+      (Secpol_can.Bus.trace (Tcar.bus car V.Segment_map.seg_bus))
+      (fun e -> e.Trace.event = Trace.Tx_error)
   in
   (* same noise rate, different draws *)
   Alcotest.(check bool) "noise actually drawn" true (errors 1L > 0);
@@ -56,39 +60,42 @@ let test_different_seed_different_noise () =
 (* ---------- Line noise ---------- *)
 
 let test_noisy_bus_function_retained () =
-  let car = Car.create ~corrupt_prob:0.02 () in
-  Car.run car ~seconds:3.0;
-  let s = car.Car.state in
+  let car = Fixture.single_bus ~corrupt_prob:0.02 () in
+  Tcar.run car ~seconds:3.0;
+  let s = Tcar.state car in
   Alcotest.(check bool) "ecu healthy" true s.State.ev_ecu_enabled;
   Alcotest.(check bool) "engine running" true s.State.engine_running;
   (* retransmissions happened... *)
   Alcotest.(check bool) "errors observed" true
-    (Trace.count (Car.trace car) (fun e -> e.Trace.event = Trace.Tx_error) > 0);
+    (Trace.count
+       (Secpol_can.Bus.trace (Tcar.bus car V.Segment_map.seg_bus))
+       (fun e -> e.Trace.event = Trace.Tx_error)
+    > 0);
   (* ...and nobody fell off the bus at this noise level *)
   List.iter
     (fun name ->
-      let errs = Controller.errors (Node.controller (Car.node car name)) in
+      let errs = Controller.errors (Node.controller (Tcar.node car name)) in
       Alcotest.(check bool) (name ^ " not bus-off") true
         (Errors.state errs <> Errors.Bus_off))
     Names.nodes
 
 let test_noisy_bus_crash_chain_still_works () =
-  let car = Car.create ~corrupt_prob:0.02 () in
-  Car.run car ~seconds:0.5;
-  V.Safety.trigger_crash (Car.node car Names.safety) car.Car.state;
-  Car.run car ~seconds:1.0;
-  Alcotest.(check bool) "failsafe latched" true car.Car.state.State.failsafe_latched;
-  Alcotest.(check bool) "doors unlocked" false car.Car.state.State.doors_locked;
-  check Alcotest.int "emergency call placed" 1 car.Car.state.State.emergency_calls
+  let car = Fixture.single_bus ~corrupt_prob:0.02 () in
+  Tcar.run car ~seconds:0.5;
+  V.Safety.trigger_crash (Tcar.node car Names.safety) (Tcar.state car);
+  Tcar.run car ~seconds:1.0;
+  Alcotest.(check bool) "failsafe latched" true (Tcar.state car).State.failsafe_latched;
+  Alcotest.(check bool) "doors unlocked" false (Tcar.state car).State.doors_locked;
+  check Alcotest.int "emergency call placed" 1 (Tcar.state car).State.emergency_calls
 
 let test_hpe_enforcement_under_noise () =
   (* the headline spoofing attack on a noisy bus: retransmission gets the
      forged frame through eventually without enforcement, while the HPE
      blocks it at the source regardless of line conditions *)
-  let attack enforcement =
-    let car = Car.create ~corrupt_prob:0.05 ~enforcement () in
-    Car.run car ~seconds:0.3;
-    let node = Car.node car Names.infotainment in
+  let attack placement =
+    let car = Fixture.single_bus ~corrupt_prob:0.05 ~placement () in
+    Tcar.run car ~seconds:0.3;
+    let node = Tcar.node car Names.infotainment in
     Controller.set_filters (Node.controller node) [];
     for _ = 1 to 20 do
       ignore
@@ -96,20 +103,23 @@ let test_hpe_enforcement_under_noise () =
            (Secpol_can.Frame.data_std Messages.ecu_command
               (String.make 1 Messages.cmd_disable)))
     done;
-    Car.run car ~seconds:1.0;
-    car.Car.state.State.ev_ecu_enabled
+    Tcar.run car ~seconds:1.0;
+    (Tcar.state car).State.ev_ecu_enabled
   in
   Alcotest.(check bool) "lands through the noise unprotected" false
-    (attack Car.Software_filters);
+    (attack `Central);
   Alcotest.(check bool) "still blocked by the HPE" true
-    (attack (Car.Hpe (V.Policy_map.baseline ())))
+    (attack `Distributed)
 
 let test_extreme_noise_starves_the_bus () =
-  let car = Car.create ~corrupt_prob:0.9 () in
-  Car.run car ~seconds:1.0;
+  let car = Fixture.single_bus ~corrupt_prob:0.9 () in
+  Tcar.run car ~seconds:1.0;
   (* almost nothing gets through; retry budgets exhaust *)
   Alcotest.(check bool) "abandonments" true
-    (Trace.count (Car.trace car) (fun e -> e.Trace.event = Trace.Tx_abandoned) > 0)
+    (Trace.count
+       (Secpol_can.Bus.trace (Tcar.bus car V.Segment_map.seg_bus))
+       (fun e -> e.Trace.event = Trace.Tx_abandoned)
+    > 0)
 
 (* ---------- Stress ---------- *)
 
@@ -142,12 +152,12 @@ let test_priority_storm_ordering () =
   | [] -> Alcotest.fail "nothing delivered"
 
 let test_long_run_stability () =
-  let car = Car.create () in
-  Car.run car ~seconds:60.0;
+  let car = Fixture.single_bus () in
+  Tcar.run car ~seconds:60.0;
   Alcotest.(check bool) "still healthy after a minute" true
-    car.Car.state.State.ev_ecu_enabled;
+    (Tcar.state car).State.ev_ecu_enabled;
   Alcotest.(check bool) "thousands of frames" true
-    (Secpol_can.Bus.frames_sent car.Car.bus > 8_000)
+    (Secpol_can.Bus.frames_sent (Tcar.bus car V.Segment_map.seg_bus) > 8_000)
 
 (* ---------- fault plans, watchdog, chaos campaigns ---------- *)
 
@@ -268,7 +278,7 @@ let chaos_stall_enters_failsafe seed () =
     (entered <= bound);
   let car = F.Harness.car h in
   Alcotest.(check bool) "latched in fail-safe" true
-    (Car.mode car = V.Modes.Fail_safe && car.Car.state.State.failsafe_latched);
+    (Tcar.mode car = V.Modes.Fail_safe && (Tcar.state car).State.failsafe_latched);
   check Alcotest.int "watchdog detected exactly one outage" 1
     (F.Watchdog.trips (F.Harness.watchdog h));
   (* report says the same thing, machine-readably *)
@@ -298,7 +308,7 @@ let chaos_recoverable_converges plan_name seed () =
   Alcotest.(check bool) "all invariants held" true o.F.Chaos.passed;
   let car = F.Harness.car o.F.Chaos.harness in
   Alcotest.(check bool) "still in normal mode" true
-    (Car.mode car = V.Modes.Normal);
+    (Tcar.mode car = V.Modes.Normal);
   List.iter
     (fun (r : F.Harness.record) ->
       Alcotest.(check bool)
@@ -359,8 +369,9 @@ let test_invariant_catches_unapproved_delivery () =
   F.Invariant.check checker;
   Alcotest.(check bool) "clean so far" true (F.Invariant.ok checker);
   let car = F.Harness.car h in
-  Secpol_can.Trace.record (Car.trace car)
-    ~time:(Engine.now car.Car.sim)
+  Secpol_can.Trace.record
+    (Secpol_can.Bus.trace (Tcar.bus car V.Segment_map.seg_bus))
+    ~time:(Engine.now (Tcar.sim car))
     ~node:"intruder"
     (Secpol_can.Frame.data_std 0x7DF "")
     (Trace.Rx_delivered Names.ev_ecu);

@@ -9,7 +9,8 @@ module Names = V.Names
 module Messages = V.Messages
 module Policy_map = V.Policy_map
 module Catalog = V.Threat_catalog
-module Car = V.Car
+module Tcar = V.Topology_car
+module Fixture = Car_fixture
 module Os = V.Infotainment_os
 module Threat = Secpol_threat.Threat
 module Dread = Secpol_threat.Dread
@@ -207,21 +208,21 @@ let test_hardened_closes_row14_on_car () =
   (* the accident-relock attack (Table I row 14) is residual under the
      baseline policy but closed by the situational update *)
   let run policy =
-    let car = Car.create ~enforcement:(Car.Hpe policy) () in
-    Car.run car ~seconds:0.3;
-    V.Safety.trigger_crash (Car.node car Names.safety) car.Car.state;
-    Car.run car ~seconds:0.1;
+    let car = Fixture.single_bus ~placement:`Distributed ~policy () in
+    Tcar.run car ~seconds:0.3;
+    V.Safety.trigger_crash (Tcar.node car Names.safety) (Tcar.state car);
+    Tcar.run car ~seconds:0.1;
     (* the hardware mode line follows the fail-safe entry *)
-    Car.set_mode car Modes.Fail_safe;
-    let node = Car.node car Names.telematics in
+    Tcar.set_mode car Modes.Fail_safe;
+    let node = Tcar.node car Names.telematics in
     Secpol_can.Controller.set_filters (Node.controller node) [];
     let _ =
       Node.send node
         (Secpol_can.Frame.data_std Messages.lock_command
            (String.make 1 Messages.cmd_lock))
     in
-    Car.run car ~seconds:0.3;
-    car.Car.state.State.doors_locked
+    Tcar.run car ~seconds:0.3;
+    (Tcar.state car).State.doors_locked
   in
   Alcotest.(check bool) "baseline: occupants trapped (residual)" true
     (run (Policy_map.baseline ()));
@@ -229,13 +230,18 @@ let test_hardened_closes_row14_on_car () =
     (run (Policy_map.hardened ()))
 
 let test_hardened_benign_unharmed () =
-  let car = Car.create ~enforcement:(Car.Hpe (Policy_map.hardened ())) () in
-  Car.run car ~seconds:2.0;
-  check Alcotest.int "no false blocks" 0 (Car.false_hpe_blocks car);
+  let car =
+    Fixture.single_bus ~placement:`Distributed
+      ~policy:(Policy_map.hardened ())
+      ()
+  in
+  Tcar.run car ~seconds:2.0;
+  check Alcotest.int "no false blocks" 0
+    (Tcar.false_blocks_in car V.Segment_map.seg_bus);
   (* remote lock/unlock still works within the behavioural budget *)
-  ignore (V.Telematics.remote_unlock (Car.node car Names.telematics));
-  Car.run car ~seconds:0.2;
-  Alcotest.(check bool) "unlocked" false car.Car.state.State.doors_locked
+  ignore (V.Telematics.remote_unlock (Tcar.node car Names.telematics));
+  Tcar.run car ~seconds:0.2;
+  Alcotest.(check bool) "unlocked" false (Tcar.state car).State.doors_locked
 
 (* ---------- Table I reproduction (experiment T1) ---------- *)
 
@@ -341,11 +347,53 @@ let test_table1_highest_risk_is_door_lock_in_accident () =
 
 (* ---------- Car simulation ---------- *)
 
+(* The single-bus car pinned against the retired flat-bus car module: these
+   constants were recorded from that module (seed 7, 2 s of benign
+   driving) before it was deleted, one row per enforcement level.  The
+   one-segment topology must reproduce it frame for frame: same frames
+   sent, deliveries, HPE blocks, trace (digest of every [pp_entry] line)
+   and final vehicle state. *)
+let test_single_bus_reproduces_flat_car () =
+  let driving_state =
+    "mode=normal ecu=true engine=true eps=true doors-locked=true \
+     alarm=false modem=true tracking=true failsafe=false speed=50km/h"
+  in
+  List.iter
+    (fun (placement, frames, deliveries, read_blocks, digest) ->
+      let name = Tcar.placement_name placement in
+      let car = Fixture.single_bus ~seed:7L ~placement () in
+      Tcar.run car ~seconds:2.0;
+      let hpe_sum f =
+        List.fold_left (fun acc (_, h) -> acc + f h) 0 (Tcar.hpes car)
+      in
+      check Alcotest.int (name ^ ": frames sent") frames
+        (Secpol_can.Bus.frames_sent (Tcar.bus car V.Segment_map.seg_bus));
+      check Alcotest.int (name ^ ": deliveries") deliveries
+        (Tcar.total_deliveries car);
+      check Alcotest.int (name ^ ": HPE read blocks") read_blocks
+        (hpe_sum Secpol_hpe.Engine.read_blocks);
+      check Alcotest.int (name ^ ": HPE write blocks") 0
+        (hpe_sum Secpol_hpe.Engine.write_blocks);
+      check Alcotest.string (name ^ ": trace digest") digest
+        (Secpol_can.Trace.entries
+           (Secpol_can.Bus.trace (Tcar.bus car V.Segment_map.seg_bus))
+        |> List.map (Format.asprintf "%a" Secpol_can.Trace.pp_entry)
+        |> String.concat "\n" |> Digest.string |> Digest.to_hex);
+      check Alcotest.string (name ^ ": final state") driving_state
+        (Format.asprintf "%a" State.pp (Tcar.state car));
+      check Alcotest.int (name ^ ": journal") 0
+        (List.length (State.events (Tcar.state car))))
+    [
+      (`Unfiltered, 279, 1953, 0, "5dea62261c4e5b523e66b43a0ad5898c");
+      (`Central, 279, 976, 0, "f03b758fe4c526cd499bd789548172a4");
+      (`Distributed, 279, 914, 1039, "dd2b51caaef1a5f7b372693b0de7f710");
+    ]
+
 let test_car_benign_traffic () =
-  let car = Car.create () in
-  Car.run car ~seconds:2.0;
-  Alcotest.(check bool) "deliveries happened" true (Car.total_deliveries car > 100);
-  let s = car.Car.state in
+  let car = Fixture.single_bus () in
+  Tcar.run car ~seconds:2.0;
+  Alcotest.(check bool) "deliveries happened" true (Tcar.total_deliveries car > 100);
+  let s = Tcar.state car in
   Alcotest.(check bool) "ecu healthy" true s.State.ev_ecu_enabled;
   Alcotest.(check bool) "engine running" true s.State.engine_running;
   Alcotest.(check bool) "doors locked" true s.State.doors_locked;
@@ -355,7 +403,9 @@ let test_car_benign_traffic () =
    empty acceptance bank, which a CAN controller treats as accept-all, so
    raw delivery totals over-count under software filters. *)
 let designed_deliveries car =
-  Secpol_can.Trace.count (Car.trace car) (fun e ->
+  Secpol_can.Trace.count
+    (Secpol_can.Bus.trace (Tcar.bus car V.Segment_map.seg_bus))
+    (fun e ->
       match e.Secpol_can.Trace.event with
       | Secpol_can.Trace.Rx_delivered receiver -> (
           match e.Secpol_can.Trace.frame.Secpol_can.Frame.id with
@@ -367,71 +417,71 @@ let designed_deliveries car =
       | _ -> false)
 
 let test_car_hpe_no_false_blocks () =
-  let baseline = Car.create ~enforcement:Car.Software_filters () in
-  Car.run baseline ~seconds:2.0;
-  let car = Car.create ~enforcement:(Car.Hpe (Policy_map.baseline ())) () in
-  Car.run car ~seconds:2.0;
+  let baseline = Fixture.single_bus () in
+  Tcar.run baseline ~seconds:2.0;
+  let car = Fixture.single_bus ~placement:`Distributed () in
+  Tcar.run car ~seconds:2.0;
   check Alcotest.int "zero false blocks on clean traffic" 0
-    (Car.false_hpe_blocks car);
+    (Tcar.false_blocks_in car V.Segment_map.seg_bus);
   (* every designed delivery still happens *)
   check Alcotest.int "designed deliveries match the software-filter baseline"
     (designed_deliveries baseline)
     (designed_deliveries car)
 
 let test_car_crash_chain () =
-  let car = Car.create () in
-  Car.run car ~seconds:0.5;
-  V.Safety.trigger_crash (Car.node car Names.safety) car.Car.state;
-  Car.run car ~seconds:0.5;
-  let s = car.Car.state in
+  let car = Fixture.single_bus () in
+  Tcar.run car ~seconds:0.5;
+  V.Safety.trigger_crash (Tcar.node car Names.safety) (Tcar.state car);
+  Tcar.run car ~seconds:0.5;
+  let s = Tcar.state car in
   Alcotest.(check bool) "failsafe latched" true s.State.failsafe_latched;
   Alcotest.(check bool) "doors unlocked for rescue" false s.State.doors_locked;
   Alcotest.(check bool) "propulsion cut" false s.State.ev_ecu_enabled;
   check Alcotest.int "emergency call placed" 1 s.State.emergency_calls
 
 let test_car_remote_lock_unlock () =
-  let car = Car.create ~driving:false () in
-  Car.run car ~seconds:0.2;
-  ignore (V.Telematics.remote_lock (Car.node car Names.telematics));
-  Car.run car ~seconds:0.2;
-  Alcotest.(check bool) "locked" true car.Car.state.State.doors_locked;
-  ignore (V.Telematics.remote_unlock (Car.node car Names.telematics));
-  Car.run car ~seconds:0.2;
-  Alcotest.(check bool) "unlocked" false car.Car.state.State.doors_locked
+  let car = Fixture.single_bus ~driving:false () in
+  Tcar.run car ~seconds:0.2;
+  ignore (V.Telematics.remote_lock (Tcar.node car Names.telematics));
+  Tcar.run car ~seconds:0.2;
+  Alcotest.(check bool) "locked" true (Tcar.state car).State.doors_locked;
+  ignore (V.Telematics.remote_unlock (Tcar.node car Names.telematics));
+  Tcar.run car ~seconds:0.2;
+  Alcotest.(check bool) "unlocked" false (Tcar.state car).State.doors_locked
 
 let test_car_alarm_immobilises () =
-  let car = Car.create ~driving:false () in
-  Car.run car ~seconds:0.2;
-  V.Safety.arm_alarm (Car.node car Names.safety) car.Car.state;
-  Car.run car ~seconds:0.2;
-  Alcotest.(check bool) "armed" true car.Car.state.State.alarm_armed;
-  Alcotest.(check bool) "immobilised" false car.Car.state.State.ev_ecu_enabled;
-  V.Safety.disarm_alarm (Car.node car Names.safety) car.Car.state;
-  Car.run car ~seconds:0.2;
-  Alcotest.(check bool) "mobile again" true car.Car.state.State.ev_ecu_enabled
+  let car = Fixture.single_bus ~driving:false () in
+  Tcar.run car ~seconds:0.2;
+  V.Safety.arm_alarm (Tcar.node car Names.safety) (Tcar.state car);
+  Tcar.run car ~seconds:0.2;
+  Alcotest.(check bool) "armed" true (Tcar.state car).State.alarm_armed;
+  Alcotest.(check bool) "immobilised" false (Tcar.state car).State.ev_ecu_enabled;
+  V.Safety.disarm_alarm (Tcar.node car Names.safety) (Tcar.state car);
+  Tcar.run car ~seconds:0.2;
+  Alcotest.(check bool) "mobile again" true (Tcar.state car).State.ev_ecu_enabled
 
 let test_car_mode_switch_reprovisions () =
-  let car = Car.create ~enforcement:(Car.Hpe (Policy_map.baseline ())) () in
-  Car.run car ~seconds:0.2;
-  Car.set_mode car Modes.Remote_diagnostic;
-  (match Car.hpe car Names.telematics with
+  let car = Fixture.single_bus ~placement:`Distributed () in
+  Tcar.run car ~seconds:0.2;
+  Tcar.set_mode car Modes.Remote_diagnostic;
+  (match Tcar.hpe car Names.telematics with
   | Some hpe ->
       Alcotest.(check bool) "still locked after reprovision" true
         (Secpol_hpe.Engine.locked hpe)
   | None -> Alcotest.fail "no hpe on telematics");
   (* diag request is writable by telematics only in remote_diagnostic mode *)
   Alcotest.(check bool) "diag write passes now" true
-    (Node.send (Car.node car Names.telematics)
+    (Node.send (Tcar.node car Names.telematics)
        (Secpol_can.Frame.data_std Messages.diag_request "\x01"));
-  Car.set_mode car Modes.Normal;
+  Tcar.set_mode car Modes.Normal;
   Alcotest.(check bool) "diag write refused in normal" false
-    (Node.send (Car.node car Names.telematics)
+    (Node.send (Tcar.node car Names.telematics)
        (Secpol_can.Frame.data_std Messages.diag_request "\x01"))
 
 let test_car_diagnostic_session () =
-  let car = Car.create ~enforcement:(Car.Hpe (Policy_map.baseline ())) ~driving:false () in
-  Car.run car ~seconds:0.2;
-  let telematics = Car.node car Names.telematics in
+  let car = Fixture.single_bus ~placement:`Distributed ~driving:false () in
+  Tcar.run car ~seconds:0.2;
+  let telematics = Tcar.node car Names.telematics in
   let responses () =
     List.length
       (List.filter
@@ -443,25 +493,25 @@ let test_car_diagnostic_session () =
   Alcotest.(check bool) "request refused in normal mode" false
     (V.Telematics.request_diagnostics telematics);
   (* switch to remote diagnostics: request goes out, five ECUs answer *)
-  Car.set_mode car Modes.Remote_diagnostic;
+  Tcar.set_mode car Modes.Remote_diagnostic;
   Alcotest.(check bool) "request accepted in RD mode" true
     (V.Telematics.request_diagnostics telematics);
-  Car.run car ~seconds:0.2;
+  Tcar.run car ~seconds:0.2;
   check Alcotest.int "five ECUs respond" 5 (responses ());
   (* back in normal mode the ECUs stay silent even to a forged request *)
-  Car.set_mode car Modes.Normal;
+  Tcar.set_mode car Modes.Normal;
   let before = responses () in
-  let atk_node = Car.node car Names.sensors in
+  let atk_node = Tcar.node car Names.sensors in
   Secpol_can.Controller.set_filters (Node.controller atk_node) [];
   ignore
     (Node.send atk_node (Secpol_can.Frame.data_std Messages.diag_request "\x01"));
-  Car.run car ~seconds:0.2;
+  Tcar.run car ~seconds:0.2;
   check Alcotest.int "no responses in normal mode" before (responses ())
 
 let test_car_display_mirrors_speed () =
-  let car = Car.create () in
-  Car.run car ~seconds:1.0;
-  match V.Infotainment.displayed_speed (Car.node car Names.infotainment) with
+  let car = Fixture.single_bus () in
+  Tcar.run car ~seconds:1.0;
+  match V.Infotainment.displayed_speed (Tcar.node car Names.infotainment) with
   | Some s -> check Alcotest.(float 0.01) "display shows 50" 50.0 s
   | None -> Alcotest.fail "display never updated"
 
@@ -510,39 +560,46 @@ module Ids = V.Ids
 let kind_is name (i : Ids.incident) = Ids.kind_name i.Ids.kind = name
 
 let test_ids_quiet_on_benign_traffic () =
-  let car = Car.create ~enforcement:(Car.Hpe (Policy_map.baseline ())) () in
+  let car = Fixture.single_bus ~placement:`Distributed () in
   let ids = Ids.create car in
-  Car.run car ~seconds:2.0;
+  Tcar.run car ~seconds:2.0;
   Alcotest.(check (list string)) "no incidents" []
     (List.map (fun (i : Ids.incident) -> Ids.kind_name i.Ids.kind) (Ids.scan ids))
 
+let test_ids_refuses_segmented_car () =
+  Alcotest.check_raises "two segments"
+    (Invalid_argument "Ids.create: needs a single-bus car, got 2 segments")
+    (fun () -> ignore (Ids.create (Fixture.two_segment ())))
+
 let test_ids_flags_unapproved_source () =
-  let car = Car.create () in
+  let car = Fixture.single_bus () in
   let ids = Ids.create car in
-  Car.run car ~seconds:0.5;
+  Tcar.run car ~seconds:0.5;
   ignore (Ids.scan ids);
-  let node = Car.node car Names.infotainment in
+  let node = Tcar.node car Names.infotainment in
   Secpol_can.Controller.set_filters (Node.controller node) [];
   ignore
     (Node.send node
        (Secpol_can.Frame.data_std Messages.ecu_command
           (String.make 1 Messages.cmd_disable)));
-  Car.run car ~seconds:0.2;
+  Tcar.run car ~seconds:0.2;
   let fresh = Ids.scan ids in
   Alcotest.(check bool) "unapproved source raised" true
     (List.exists (kind_is "unapproved-source") fresh)
 
 let test_ids_flags_unknown_id_and_flood () =
-  let car = Car.create () in
+  let car = Fixture.single_bus () in
   let ids = Ids.create car in
-  Car.run car ~seconds:0.5;
+  Tcar.run car ~seconds:0.5;
   ignore (Ids.scan ids);
-  let alien = Node.create ~name:"alien" car.Car.bus in
+  let alien =
+    Node.create ~name:"alien" (Tcar.bus car V.Segment_map.seg_bus)
+  in
   ignore (Node.send alien (Secpol_can.Frame.data_std 0x7F0 ""));
   for _ = 1 to 200 do
     ignore (Node.send alien (Secpol_can.Frame.data_std Messages.brake_status "\x00\x00"))
   done;
-  Car.run car ~seconds:0.5;
+  Tcar.run car ~seconds:0.5;
   let fresh = Ids.scan ids in
   Alcotest.(check bool) "unknown id raised" true
     (List.exists (kind_is "unknown-id") fresh);
@@ -550,20 +607,22 @@ let test_ids_flags_unknown_id_and_flood () =
     (List.exists (kind_is "flood") fresh)
 
 let test_ids_uses_hpe_signals () =
-  let car = Car.create ~enforcement:(Car.Hpe (Policy_map.baseline ())) () in
+  let car = Fixture.single_bus ~placement:`Distributed () in
   let ids = Ids.create car in
-  Car.run car ~seconds:0.5;
+  Tcar.run car ~seconds:0.5;
   ignore (Ids.scan ids);
   (* compromised node tries to transmit outside policy: write blocks *)
-  let node = Car.node car Names.infotainment in
+  let node = Tcar.node car Names.infotainment in
   ignore
     (Node.send node
        (Secpol_can.Frame.data_std Messages.ecu_command
           (String.make 1 Messages.cmd_disable)));
   (* alien impersonates the sensors: spoof alerts *)
-  let alien = Node.create ~name:"alien" car.Car.bus in
+  let alien =
+    Node.create ~name:"alien" (Tcar.bus car V.Segment_map.seg_bus)
+  in
   ignore (Node.send alien (Secpol_can.Frame.data_std Messages.brake_status "\x00\x00"));
-  Car.run car ~seconds:0.2;
+  Tcar.run car ~seconds:0.2;
   let fresh = Ids.scan ids in
   Alcotest.(check bool) "policy violation raised" true
     (List.exists (kind_is "policy-violation") fresh);
@@ -576,57 +635,65 @@ let test_ids_uses_hpe_signals () =
 
 (* ---------- Segmented (gateway) topology ---------- *)
 
-module Segmented = V.Segmented
+(* The §V guideline car: the two-segment spec at central placement, so the
+   gateway whitelist is the only cross-segment enforcement. *)
 
 let test_segmented_benign_function () =
-  let car = Segmented.create () in
-  Segmented.run car ~seconds:1.0;
+  let car = Fixture.two_segment () in
+  Tcar.run car ~seconds:1.0;
   (* cross-segment telemetry still reaches the driver display *)
-  (match V.Infotainment.displayed_speed (Segmented.node car Names.infotainment) with
+  (match V.Infotainment.displayed_speed (Tcar.node car Names.infotainment) with
   | Some s -> check Alcotest.(float 0.01) "display shows 50" 50.0 s
   | None -> Alcotest.fail "telemetry never crossed the gateway");
   (* the crash chain spans both segments: safety (powertrain) unlocks the
      doors (comfort) and the telematics unit places the call *)
-  V.Safety.trigger_crash (Segmented.node car Names.safety) car.Segmented.state;
-  Segmented.run car ~seconds:0.5;
+  V.Safety.trigger_crash (Tcar.node car Names.safety) (Tcar.state car);
+  Tcar.run car ~seconds:0.5;
   Alcotest.(check bool) "doors unlocked across segments" false
-    car.Segmented.state.State.doors_locked;
+    (Tcar.state car).State.doors_locked;
   check Alcotest.int "emergency call placed" 1
-    car.Segmented.state.State.emergency_calls
+    (Tcar.state car).State.emergency_calls
 
 let test_segmented_blocks_non_crossing_injection () =
   (* eps_command never legitimately crosses: the gateway drops it *)
-  let car = Segmented.create () in
-  Segmented.run car ~seconds:0.3;
-  let infotainment = Segmented.node car Names.infotainment in
+  let car = Fixture.two_segment () in
+  Tcar.run car ~seconds:0.3;
+  let infotainment = Tcar.node car Names.infotainment in
   Secpol_can.Controller.set_filters (Node.controller infotainment) [];
   ignore
     (Node.send infotainment
        (Secpol_can.Frame.data_std Messages.eps_command
           (String.make 1 Messages.cmd_disable)));
-  Segmented.run car ~seconds:0.3;
-  Alcotest.(check bool) "eps survives" true car.Segmented.state.State.eps_active;
+  Tcar.run car ~seconds:0.3;
+  Alcotest.(check bool) "eps survives" true (Tcar.state car).State.eps_active;
   Alcotest.(check bool) "gateway dropped something" true
-    (Secpol_can.Gateway.dropped car.Segmented.gateway > 0)
+    (Secpol_can.Gateway.dropped
+       (Secpol_can.Topology.gateway (Tcar.topology car) "gateway")
+    > 0)
 
 let test_segmented_residual_crossing_injection () =
   (* ecu_command legitimately crosses (door_locks -> ev_ecu), so the
      ID-granular gateway forwards the forged copy too — the weakness the
      per-node HPE does not have *)
-  let car = Segmented.create () in
-  Segmented.run car ~seconds:0.3;
-  let infotainment = Segmented.node car Names.infotainment in
+  let car = Fixture.two_segment () in
+  Tcar.run car ~seconds:0.3;
+  let infotainment = Tcar.node car Names.infotainment in
   Secpol_can.Controller.set_filters (Node.controller infotainment) [];
   ignore
     (Node.send infotainment
        (Secpol_can.Frame.data_std Messages.ecu_command
           (String.make 1 Messages.cmd_disable)));
-  Segmented.run car ~seconds:0.3;
+  Tcar.run car ~seconds:0.3;
   Alcotest.(check bool) "gateway forwards the forged crossing ID" false
-    car.Segmented.state.State.ev_ecu_enabled
+    (Tcar.state car).State.ev_ecu_enabled
 
 let test_segmented_whitelist_is_minimal () =
-  let ids = Segmented.crossing_ids () in
+  let topo = Tcar.topology (Fixture.two_segment ()) in
+  let ids =
+    List.sort_uniq compare
+      (Secpol_can.Topology.crossing_ids topo ~gateway:"gateway" `A_to_b
+      @ Secpol_can.Topology.crossing_ids topo ~gateway:"gateway" `B_to_a)
+  in
   Alcotest.(check bool) "ecu_command crosses" true
     (List.mem Messages.ecu_command ids);
   Alcotest.(check bool) "eps_command does not" false
@@ -637,9 +704,9 @@ let test_segmented_whitelist_is_minimal () =
 (* ---------- Infotainment OS ---------- *)
 
 let make_os ?hardened () =
-  let car = Car.create () in
-  Car.run car ~seconds:0.1;
-  (car, Os.create_exn ?hardened car.Car.state (Car.node car Names.infotainment))
+  let car = Fixture.single_bus () in
+  Tcar.run car ~seconds:0.1;
+  (car, Os.create_exn ?hardened (Tcar.state car) (Tcar.node car Names.infotainment))
 
 let test_os_browse_allowed_everywhere () =
   let _, os = make_os () in
@@ -655,7 +722,7 @@ let test_os_escalation_chain_v1 () =
       Alcotest.(check bool) "install works" true
         (Os.install_package os ~as_:installer);
       check Alcotest.int "install counted" 1
-        car.Car.state.State.software_installs;
+        (Tcar.state car).State.software_installs;
       Alcotest.(check bool) "CAN write allowed by sloppy policy" true
         (Os.send_can os ~as_:installer
            (Secpol_can.Frame.data_std Messages.media_status "\x01"))
@@ -722,6 +789,8 @@ let () =
         ] );
       ( "car",
         [
+          quick "single bus reproduces the flat car"
+            test_single_bus_reproduces_flat_car;
           quick "benign traffic" test_car_benign_traffic;
           quick "no false blocks under HPE" test_car_hpe_no_false_blocks;
           quick "crash chain" test_car_crash_chain;
@@ -743,6 +812,7 @@ let () =
           quick "quiet on benign traffic" test_ids_quiet_on_benign_traffic;
           quick "unapproved source" test_ids_flags_unapproved_source;
           quick "unknown id + flood" test_ids_flags_unknown_id_and_flood;
+          quick "refuses a segmented car" test_ids_refuses_segmented_car;
           quick "hpe signals" test_ids_uses_hpe_signals;
         ] );
       ( "segmented",
