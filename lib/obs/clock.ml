@@ -1,18 +1,9 @@
-(* A CAS loop rather than a mutex: readings race only on the watermark
-   word, and the loser of a race simply re-reads — the clock must stay
-   callable from every domain without serialising them. *)
+external now : unit -> (float[@unboxed])
+  = "secpol_clock_now_byte" "secpol_clock_now"
+[@@noalloc]
 
-let watermark = Atomic.make neg_infinity
-
-let now () =
-  let t = Unix.gettimeofday () in
-  let rec clamp () =
-    let prev = Atomic.get watermark in
-    if t <= prev then prev
-    else if Atomic.compare_and_set watermark prev t then t
-    else clamp ()
-  in
-  clamp ()
+external resolution_of_clock : unit -> float = "secpol_clock_resolution"
 
 let elapsed_ns ~since = Float.max 0.0 ((now () -. since) *. 1e9)
-let resolution = 1e-6
+
+let resolution = resolution_of_clock ()

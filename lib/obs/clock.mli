@@ -7,21 +7,24 @@
     so a ns/op from one harness is comparable with a ns/op from the
     other.
 
-    The clock is wall time made {e monotonic}: readings are clamped to a
-    process-wide high-water mark, so a backwards NTP step can flatten an
-    interval to zero but never produce a negative one.  The watermark is
-    an {!Atomic}, making the clamp safe to read from every domain of the
-    parallel serving layer. *)
+    The clock is [clock_gettime(CLOCK_MONOTONIC)] through a small C
+    stub: it never steps backwards and never jumps with the wall clock
+    (NTP steps, [settimeofday]), so intervals, deadlines and latency
+    histograms stay right across a clock adjustment.  Readings share no
+    state, so every domain reads the clock without contending on a
+    common word. *)
 
 val now : unit -> float
-(** Monotonic-ized wall clock, in seconds.  Absolute values are only
-    meaningful relative to other [now] readings in the same process. *)
+(** Monotonic time, in seconds.  Absolute values are only meaningful
+    relative to other [now] readings in the same process (the origin is
+    unspecified — on Linux, boot). *)
 
 val elapsed_ns : since:float -> float
 (** Nanoseconds elapsed since an earlier [now] reading (never negative). *)
 
 val resolution : float
-(** Smallest interval this clock can distinguish, in seconds (1 µs — the
-    granularity of [Unix.gettimeofday]).  Two [now] readings closer than
-    this may compare equal; timing code dividing by an elapsed interval
-    should clamp to [resolution] rather than special-case zero. *)
+(** Smallest interval this clock can distinguish, in seconds, as
+    reported by [clock_getres] (1 ns on Linux).  Two [now] readings
+    closer than this may compare equal; timing code dividing by an
+    elapsed interval should clamp to [resolution] rather than
+    special-case zero. *)

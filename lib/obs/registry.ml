@@ -6,7 +6,7 @@ type t = {
   trace : Ring.t;
 }
 
-let create ?(clock = Sys.time) ?(trace_capacity = 512) () =
+let create ?(clock = Clock.now) ?(trace_capacity = 512) () =
   {
     clock;
     counters = Hashtbl.create 32;

@@ -13,8 +13,9 @@
 type t
 
 val create : ?clock:(unit -> float) -> ?trace_capacity:int -> unit -> t
-(** [clock] (default [Sys.time]) timestamps trace events and latency
-    spans; inject a simulation clock to trace in sim time. *)
+(** [clock] (default {!Clock.now}, the monotonic clock, in seconds)
+    timestamps trace events and latency spans; inject a simulation clock
+    to trace in sim time. *)
 
 val clock : t -> unit -> float
 

@@ -38,44 +38,144 @@ let resolve ticket st =
   Condition.broadcast ticket.t_cv;
   Mutex.unlock ticket.t_mu
 
-let await ticket =
+let wake ticket () =
   Mutex.lock ticket.t_mu;
-  let rec wait () =
+  Condition.broadcast ticket.t_cv;
+  Mutex.unlock ticket.t_mu
+
+(* ------------------------------------------------------------------ *)
+(* Deadlines                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* [Condition] has no timed wait, so one timer systhread per process
+   keeps every deadline.  A timed waiter arms its deadline here, then
+   blocks on its ticket's condvar exactly as an untimed one does: the
+   worker's [resolve] wakes it directly.  The timer sleeps in
+   [Unix.select] on a self-pipe until the earliest armed deadline, then
+   broadcasts the overdue tickets' condvars so their waiters re-read the
+   clock and give up.  An arm pokes the pipe only when it comes before
+   the timer's current target; a disarm just removes its entry, and a
+   timer that wakes to nothing due re-targets, so a daemon whose batches
+   finish long before the watchdog costs the timer a wake-up or two per
+   deadline period, not one per batch.
+
+   Lock order: the timer releases the alarm lock before it takes any
+   ticket lock, so a waiter may arm or disarm while holding its own. *)
+
+module Deadlines = Map.Make (struct
+  type t = float * int (* deadline, arm sequence number *)
+
+  let compare (d1, i1) (d2, i2) =
+    match Float.compare d1 d2 with 0 -> Int.compare i1 i2 | c -> c
+end)
+
+let alarm_mu = Mutex.create ()
+
+let armed : (unit -> unit) Deadlines.t ref = ref Deadlines.empty
+
+let target = ref infinity (* the deadline the timer is sleeping toward *)
+
+let arms = ref 0
+
+let poke_fd : Unix.file_descr option ref = ref None
+
+let poke_byte = Bytes.make 1 '!'
+
+let drain_buf = Bytes.create 64
+
+let rec timer_loop wake_fd =
+  Mutex.lock alarm_mu;
+  let now = Clock.now () in
+  let rec take_due due =
+    match Deadlines.min_binding_opt !armed with
+    | Some (((deadline, _) as key), wake) when deadline <= now ->
+        armed := Deadlines.remove key !armed;
+        take_due (wake :: due)
+    | Some ((deadline, _), _) ->
+        target := deadline;
+        due
+    | None ->
+        target := infinity;
+        due
+  in
+  let due = take_due [] in
+  let sleep_s = if !target = infinity then -1.0 else !target -. now in
+  Mutex.unlock alarm_mu;
+  List.iter (fun wake -> wake ()) due;
+  (match Unix.select [ wake_fd ] [] [] sleep_s with
+  | [], _, _ -> ()
+  | _ -> (
+      try ignore (Unix.read wake_fd drain_buf 0 64)
+      with Unix.Unix_error _ -> ())
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
+  timer_loop wake_fd
+
+(* Started by the first [create] in the process, so the self-pipe gets a
+   low descriptor before a daemon opens its connections. *)
+let start_timer () =
+  Mutex.protect alarm_mu (fun () ->
+      if Option.is_none !poke_fd then begin
+        let r, w = Unix.pipe ~cloexec:true () in
+        Unix.set_nonblock r;
+        Unix.set_nonblock w;
+        ignore (Thread.create timer_loop r);
+        poke_fd := Some w
+      end)
+
+let arm deadline wake =
+  Mutex.protect alarm_mu (fun () ->
+      incr arms;
+      let key = (deadline, !arms) in
+      armed := Deadlines.add key wake !armed;
+      if deadline < !target then begin
+        target := deadline;
+        match !poke_fd with
+        | Some w -> (
+            (* a full pipe already holds a wake-up *)
+            try ignore (Unix.single_write w poke_byte 0 1)
+            with Unix.Unix_error _ -> ())
+        | None -> ()
+      end;
+      key)
+
+let disarm key =
+  Mutex.protect alarm_mu (fun () -> armed := Deadlines.remove key !armed)
+
+let deadlines_armed () = Mutex.protect alarm_mu (fun () -> !arms)
+
+(* The one wait: block until the ticket resolves or [deadline] (a
+   {!Clock.now} reading; [infinity] for none) passes, in which case the
+   state is still [Pending].  A resolved ticket arms nothing. *)
+let wait ticket ~deadline =
+  Mutex.lock ticket.t_mu;
+  let key =
     match ticket.state with
-    | Pending ->
+    | Pending when deadline < infinity -> Some (arm deadline (wake ticket))
+    | _ -> None
+  in
+  let rec block () =
+    match ticket.state with
+    | Pending when deadline = infinity || Clock.now () < deadline ->
         Condition.wait ticket.t_cv ticket.t_mu;
-        wait ()
+        block ()
     | st -> st
   in
-  let st = wait () in
+  let st = block () in
   Mutex.unlock ticket.t_mu;
-  match st with
+  Option.iter disarm key;
+  st
+
+let await ticket =
+  match wait ticket ~deadline:infinity with
   | Done v -> v
   | Raised e -> raise e
   | Pending -> assert false
 
-(* [Condition] has no timed wait in the stdlib, so the deadline path
-   polls: check, sleep half a millisecond, re-check.  The daemon awaits
-   every decide batch here, so the poll quantum is paid on the normal
-   served path, not only when a shard has stalled; a blocking wait that
-   keeps the deadline is ROADMAP item 1(b). *)
 let await_timeout ticket ~timeout_s =
-  let deadline = Clock.now () +. timeout_s in
-  let rec wait () =
-    Mutex.lock ticket.t_mu;
-    let st = ticket.state in
-    Mutex.unlock ticket.t_mu;
-    match st with
-    | Done v -> Some (Ok v)
-    | Raised e -> Some (Error e)
-    | Pending ->
-        if Clock.now () >= deadline then None
-        else begin
-          (try Unix.sleepf 0.0005 with Unix.Unix_error _ -> ());
-          wait ()
-        end
-  in
-  wait ()
+  match wait ticket ~deadline:(Clock.now () +. timeout_s) with
+  | Done v -> Some (Ok v)
+  | Raised e -> Some (Error e)
+  | Pending -> None
 
 (* ------------------------------------------------------------------ *)
 (* Workers and rings                                                   *)
@@ -212,6 +312,7 @@ let worker_loop pool w ring ready =
 let create ?(queue_capacity = 1024) ~domains table db =
   if domains < 1 then invalid_arg "Pool.create: domains < 1";
   if queue_capacity < 1 then invalid_arg "Pool.create: queue_capacity < 1";
+  start_timer ();
   let gen = { epoch = 1; table; db } in
   let pool =
     {

@@ -48,7 +48,9 @@ val create :
     point.  Worker engines are cacheless: the daemon decides through
     {!Secpol_policy.Engine.decide_batch}, which bypasses the cache.
     Returns only once every worker is parked in its serve loop, so
-    first-request latency never includes domain startup.
+    first-request latency never includes domain startup.  The first
+    call in a process also starts the deadline timer thread of
+    {!await_timeout}.
     @raise Invalid_argument when [domains < 1] or [queue_capacity < 1]. *)
 
 val domains : t -> int
@@ -76,11 +78,19 @@ val await : 'a ticket -> 'a
 val await_timeout : 'a ticket -> timeout_s:float -> ('a, exn) result option
 (** Like {!await} with a deadline: [None] when the deadline passed with
     the job still pending (the job is {e not} cancelled — a later await
-    can still collect it).  Polls at ~0.5 ms granularity.  That is not
-    a degraded-path cost: the daemon awaits every decide batch and every
-    stats snapshot through it, so a batch its worker finishes in
-    microseconds can still wait out a whole poll.  Replacing the poll
-    with a blocking wait that keeps the deadline is ROADMAP item 1(b). *)
+    can still collect it).  The wait blocks on the ticket, so the
+    worker's completion wakes the caller directly and a batch decided in
+    microseconds is collected in microseconds.  The deadline is kept by
+    one timer thread per process, started by the first {!create}: it
+    sleeps until the earliest armed deadline and then wakes the overdue
+    waiters, so [None] comes no earlier than [timeout_s] and within
+    scheduling slack after it.  An already-resolved ticket returns at
+    once and arms nothing. *)
+
+val deadlines_armed : unit -> int
+(** Deadlines armed with the timer thread since the process started —
+    one per {!await_timeout} on a still-pending ticket.  Telemetry; the
+    tests read it. *)
 
 val worker_engine : worker -> Secpol_policy.Engine.t
 (** The shard's current private engine — rebound on epoch change, so

@@ -148,7 +148,9 @@ let make ~strategy ~cache ~cache_capacity ~mode ~obs ~table db =
             "policy.engine.decide_batch_ns")
         obs;
     clock =
-      (match obs with Some reg -> Obs.Registry.clock reg | None -> Sys.time);
+      (match obs with
+      | Some reg -> Obs.Registry.clock reg
+      | None -> Obs.Clock.now);
     events = Option.map Obs.Registry.trace obs;
   }
 

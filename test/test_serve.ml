@@ -303,6 +303,136 @@ let test_pool_await_timeout () =
           (* a later await still collects the (late) result *)
           check Alcotest.string "late result" "done" (Pool.await ticket))
 
+(* A job parked on [gate] until the test opens it. *)
+let gated gate _ =
+  while not (Atomic.get gate) do
+    Unix.sleepf 0.001
+  done
+
+let submit_or_fail pool ~shard f =
+  match Pool.try_submit pool ~shard f with
+  | Some t -> t
+  | None -> Alcotest.fail "submit refused"
+
+let since t0 = Secpol_obs.Clock.now () -. t0
+
+(* Runs [f pool gate]; the gate is always opened before the pool shuts
+   down, so a failed check cannot leave shutdown joining a parked job. *)
+let with_gated_pool ~domains f =
+  let pool = pool_of ~domains old_source in
+  let gate = Atomic.make false in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set gate true;
+      Pool.shutdown pool)
+    (fun () -> f pool gate)
+
+(* The wake-up must come from the worker's [resolve]: a 10 s deadline
+   whose job finishes after ~5 ms returns long before the deadline. *)
+let test_pool_await_wakes_on_resolve () =
+  with_gated_pool ~domains:1 (fun pool gate ->
+      let ticket =
+        submit_or_fail pool ~shard:0 (fun w ->
+            gated gate w;
+            "done")
+      in
+      let opener =
+        Thread.create
+          (fun () ->
+            Unix.sleepf 0.005;
+            Atomic.set gate true)
+          ()
+      in
+      let t0 = Secpol_obs.Clock.now () in
+      let r = Pool.await_timeout ticket ~timeout_s:10.0 in
+      let waited = since t0 in
+      Thread.join opener;
+      (match r with
+      | Some (Ok v) -> check Alcotest.string "collected" "done" v
+      | _ -> Alcotest.fail "timed await missed a finished job");
+      check Alcotest.bool
+        (Printf.sprintf "woken by resolve (%.3f s)" waited)
+        true (waited < 1.0))
+
+(* A short deadline armed while a long one is already being waited on
+   must still trip on time: the timer may not keep sleeping toward its
+   stale 5 s target. *)
+let test_pool_await_earlier_deadline () =
+  with_gated_pool ~domains:1 (fun pool gate ->
+      let slow =
+        submit_or_fail pool ~shard:0 (fun w ->
+            gated gate w;
+            1)
+      in
+      let queued = submit_or_fail pool ~shard:0 (fun _ -> 2) in
+      let armed_before = Pool.deadlines_armed () in
+      let long_result = ref None in
+      let long_waiter =
+        Thread.create
+          (fun () -> long_result := Pool.await_timeout slow ~timeout_s:5.0)
+          ()
+      in
+      while Pool.deadlines_armed () = armed_before do
+        Thread.yield ()
+      done;
+      let t0 = Secpol_obs.Clock.now () in
+      let short = Pool.await_timeout queued ~timeout_s:0.05 in
+      let waited = since t0 in
+      check Alcotest.bool "short deadline trips" true (short = None);
+      check Alcotest.bool
+        (Printf.sprintf "not before its deadline (%.3f s)" waited)
+        true (waited >= 0.05);
+      check Alcotest.bool
+        (Printf.sprintf "not held to the 5 s target (%.3f s)" waited)
+        true (waited < 0.5);
+      Atomic.set gate true;
+      Thread.join long_waiter;
+      check Alcotest.bool "long waiter collects" true
+        (!long_result = Some (Ok 1));
+      check Alcotest.int "late result" 2 (Pool.await queued))
+
+let test_pool_many_waiters () =
+  with_gated_pool ~domains:2 (fun pool gate ->
+      List.iter
+        (fun shard -> ignore (submit_or_fail pool ~shard (gated gate)))
+        [ 0; 1 ];
+      let results = Array.make 8 None in
+      let waiters =
+        List.init 8 (fun i ->
+            let ticket = submit_or_fail pool ~shard:(i mod 2) (fun _ -> i) in
+            Thread.create
+              (fun () ->
+                results.(i) <- Pool.await_timeout ticket ~timeout_s:10.0)
+              ())
+      in
+      Unix.sleepf 0.02;
+      let t0 = Secpol_obs.Clock.now () in
+      Atomic.set gate true;
+      List.iter Thread.join waiters;
+      let waited = since t0 in
+      Array.iteri
+        (fun i r ->
+          check Alcotest.bool
+            (Printf.sprintf "waiter %d collects" i)
+            true
+            (r = Some (Ok i)))
+        results;
+      check Alcotest.bool
+        (Printf.sprintf "all woken by resolve (%.3f s)" waited)
+        true (waited < 1.0))
+
+let test_pool_await_resolved_arms_nothing () =
+  let pool = pool_of ~domains:1 old_source in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
+      let ticket = submit_or_fail pool ~shard:0 (fun _ -> 7) in
+      check Alcotest.int "resolved" 7 (Pool.await ticket);
+      let before = Pool.deadlines_armed () in
+      check Alcotest.bool "collected at once" true
+        (Pool.await_timeout ticket ~timeout_s:1.0 = Some (Ok 7));
+      check Alcotest.int "timer not armed" before (Pool.deadlines_armed ()))
+
 let test_pool_shutdown_drains () =
   let pool = pool_of ~domains:1 old_source in
   let seen = Atomic.make 0 in
@@ -621,6 +751,12 @@ let () =
           quick "swap keeps counters" test_pool_swap_keeps_counters;
           quick "full ring refuses admission" test_pool_backpressure;
           quick "await timeout" test_pool_await_timeout;
+          quick "await woken by resolve" test_pool_await_wakes_on_resolve;
+          quick "earlier deadline retargets timer"
+            test_pool_await_earlier_deadline;
+          quick "eight waiting threads" test_pool_many_waiters;
+          quick "resolved ticket arms no deadline"
+            test_pool_await_resolved_arms_nothing;
           quick "shutdown drains" test_pool_shutdown_drains;
         ] );
       ( "daemon",
